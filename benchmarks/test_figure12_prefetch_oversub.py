@@ -12,7 +12,7 @@ import pytest
 from conftest import bench_batch_size, model_label, print_header, print_row
 from repro.gpusim.device import A100, RTX3060
 from repro.tools import UvmPrefetchExecutor
-from repro.workloads import record_uvm_schedule
+from repro.tools.uvm_prefetch import record_uvm_schedule
 
 DEVICES = {"3060": RTX3060, "A100": A100}
 OVERSUBSCRIPTION_FACTOR = 3.0

@@ -15,7 +15,7 @@ import argparse
 from repro.dlframework.models import MODEL_ABBREVIATIONS, PAPER_MODELS
 from repro.gpusim import A100, RTX3060
 from repro.tools import UvmPrefetchExecutor
-from repro.workloads import record_uvm_schedule
+from repro.tools.uvm_prefetch import record_uvm_schedule
 
 
 def main() -> None:

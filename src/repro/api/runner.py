@@ -15,8 +15,8 @@ all of them are driven by the same :class:`~repro.api.spec.ProfileSpec`:
   JSON-native so they survive process boundaries).
 
 Everything above this module — the ``pasta`` CLI, the fluent builder, the
-campaign scheduler, the deprecated ``run_workload`` shim — is sugar over
-these functions.
+campaign scheduler, the ``pasta serve`` daemon — is sugar over these
+functions.
 """
 
 from __future__ import annotations

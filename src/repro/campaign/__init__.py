@@ -21,8 +21,9 @@ that drives live runs, recording and replay:
 * :mod:`repro.campaign.progress` — live job-lifecycle streaming to
   ``status.jsonl`` (the ``pasta campaign watch`` feed);
 * :mod:`repro.campaign.aggregate` — roll-ups, analysis-model comparisons and
-  baseline-vs-current regression diffs;
-* :mod:`repro.campaign.cli` — the ``pasta-campaign`` command.
+  baseline-vs-current regression diffs.
+
+The ``pasta campaign`` command lives in :mod:`repro.commands.campaign`.
 """
 
 from repro.campaign.aggregate import (
@@ -64,15 +65,6 @@ from repro.campaign.scheduler import (
 from repro.campaign.spec import CampaignSpec, expand_jobs
 from repro.campaign.store import ResultStore
 
-
-def __getattr__(name: str):
-    if name == "JobSpec":  # deprecated alias; warns via repro.campaign.spec
-        from repro.campaign import spec as _spec
-
-        return _spec.JobSpec
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "CacheBackend",
     "CacheStats",
@@ -85,7 +77,6 @@ __all__ = [
     "HttpResultCache",
     "InjectedFault",
     "JobOutcome",
-    "JobSpec",
     "LeaseInfo",
     "LeaseManager",
     "NULL_PROGRESS",

@@ -5,7 +5,7 @@ hidden state, so a (job spec, package version) pair fully determines the
 result.  The cache exploits that — each record lives at
 ``<root>/<digest[:2]>/<digest>.json`` where the digest is the stable hash of
 the canonical job dict salted with ``repro.__version__`` (see
-:meth:`~repro.campaign.spec.JobSpec.digest`).  Re-running an identical
+:meth:`~repro.api.spec.ProfileSpec.digest`).  Re-running an identical
 campaign therefore simulates nothing; bumping the package version invalidates
 everything automatically.
 

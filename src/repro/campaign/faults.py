@@ -6,8 +6,8 @@ worth, so the campaign layer carries its own chaos harness.  A
 *which site* (``runner.execute``, ``cache.put``, ``store.append``,
 ``scheduler.job`` …), *which kind* of fault, and *when* (after N clean hits,
 at most M times, with a seeded probability) — and a :class:`FaultInjector`
-arms the plan behind the same process-global active-handle pattern the
-telemetry and progress layers use.  Instrumented sites call
+arms the plan behind :data:`ACTIVE_FAULTS`, the same process-global active
+handle the telemetry and progress layers use.  Instrumented sites call
 ``active_faults().fire(site, label=...)`` unconditionally; with no plan
 armed that is one method call on the shared :data:`NULL_FAULTS` object.
 
@@ -45,11 +45,11 @@ import os
 import random
 import signal
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Mapping, Optional, Union
+from typing import ContextManager, Mapping, Optional, Union
 
+from repro.active import ActiveHandle
 from repro.errors import ReproError
 
 #: Environment variable carrying a fault plan (inline JSON or a file path).
@@ -234,8 +234,6 @@ class NullFaults:
 #: The shared disarmed harness (the module default).
 NULL_FAULTS = NullFaults()
 
-_active: Union[FaultInjector, NullFaults, None] = None
-
 
 def from_env(
     environ: Optional[Mapping[str, str]] = None,
@@ -248,46 +246,34 @@ def from_env(
     return FaultInjector(FaultPlan.parse(target))
 
 
-def active_faults() -> Union[FaultInjector, NullFaults]:
-    """The process-wide active injector.
+#: The process-wide active harness.  First use arms it from ``PASTA_FAULTS``,
+#: so process-pool workers (fresh interpreters that inherit the environment,
+#: not the parent's objects) arm the same plan the parent was launched with.
+ACTIVE_FAULTS: ActiveHandle[Union[FaultInjector, NullFaults]] = ActiveHandle(NULL_FAULTS, arm=from_env)
 
-    First use resolves ``PASTA_FAULTS`` from the environment, so process-pool
-    workers (fresh interpreters that inherit the environment, not the parent's
-    objects) arm the same plan the parent was launched with.
-    """
-    global _active
-    if _active is None:
-        _active = from_env()
-    return _active
+
+def active_faults() -> Union[FaultInjector, NullFaults]:
+    """The process-wide active injector (armed from ``PASTA_FAULTS`` on first use)."""
+    return ACTIVE_FAULTS.get()
 
 
 def activate_faults(
     injector: Union[FaultInjector, NullFaults],
 ) -> Union[FaultInjector, NullFaults]:
     """Install ``injector`` as the process-wide active harness."""
-    global _active
-    _active = injector
-    return injector
+    return ACTIVE_FAULTS.set(injector)
 
 
 def deactivate_faults() -> None:
     """Disarm: reset the active harness to the shared null object."""
-    global _active
-    _active = NULL_FAULTS
+    ACTIVE_FAULTS.set(NULL_FAULTS)
 
 
-@contextmanager
 def faults_scope(
     injector: Union[FaultInjector, NullFaults],
-) -> Iterator[Union[FaultInjector, NullFaults]]:
+) -> ContextManager[Union[FaultInjector, NullFaults]]:
     """Scope ``injector`` as active, restoring the previous harness on exit."""
-    global _active
-    previous = _active
-    _active = injector
-    try:
-        yield injector
-    finally:
-        _active = previous
+    return ACTIVE_FAULTS.scope(injector, close=False)
 
 
 __all__ = [

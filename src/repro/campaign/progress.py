@@ -9,7 +9,7 @@ result store, flushing every line so a concurrent reader (``pasta campaign
 watch``) always sees a consistent prefix of the stream.
 
 Like the telemetry layer, the bus has a process-global active handle
-(:func:`active_progress` / :func:`progress_scope`) defaulting to a shared
+(:data:`ACTIVE_PROGRESS`, :func:`progress_scope`) defaulting to a shared
 no-op, so instrumented layers (the scheduler, the api runner, the parallel
 runner) emit unconditionally at the cost of one method call when no one is
 watching.  Worker *threads* share the active bus; process-pool workers run
@@ -26,10 +26,10 @@ from __future__ import annotations
 
 import threading
 import time
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator, Mapping, Optional, Union
+from typing import ContextManager, Mapping, Optional, Union
 
+from repro.active import ActiveHandle
 from repro.core.serialization import stable_json_dumps
 from repro.errors import ReproError
 from repro.obs.sink import read_records
@@ -109,43 +109,32 @@ class NullProgress:
 #: The shared disabled bus (the module default).
 NULL_PROGRESS = NullProgress()
 
-_active: Union[ProgressWriter, NullProgress] = NULL_PROGRESS
+#: The process-wide active progress bus.
+ACTIVE_PROGRESS: ActiveHandle[Union[ProgressWriter, NullProgress]] = ActiveHandle(NULL_PROGRESS)
 
 
 def active_progress() -> Union[ProgressWriter, NullProgress]:
     """The currently active progress bus (the shared null object when off)."""
-    return _active
+    return ACTIVE_PROGRESS.get()
 
 
 def activate_progress(
     bus: Union[ProgressWriter, NullProgress],
 ) -> Union[ProgressWriter, NullProgress]:
     """Install ``bus`` as the process-wide active progress bus."""
-    global _active
-    _active = bus
-    return bus
+    return ACTIVE_PROGRESS.set(bus)
 
 
 def deactivate_progress() -> None:
     """Reset the active bus to the shared null object."""
-    global _active
-    _active = NULL_PROGRESS
+    ACTIVE_PROGRESS.set(NULL_PROGRESS)
 
 
-@contextmanager
 def progress_scope(
     bus: Union[ProgressWriter, NullProgress], *, close: bool = True
-) -> Iterator[Union[ProgressWriter, NullProgress]]:
+) -> ContextManager[Union[ProgressWriter, NullProgress]]:
     """Scope ``bus`` as active, restoring (and closing) on exit."""
-    global _active
-    previous = _active
-    _active = bus
-    try:
-        yield bus
-    finally:
-        _active = previous
-        if close:
-            bus.close()
+    return ACTIVE_PROGRESS.scope(bus, close=close)
 
 
 # ---------------------------------------------------------------------- #

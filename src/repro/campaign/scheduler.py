@@ -213,12 +213,12 @@ def _run_with_retries(
                 attempt_errors.append(entry)
                 raise JobAttemptsError(attempt_errors) from error
             if backoff_s > 0.0:
-                delay = min(
+                delay = round(min(
                     max(backoff_cap_s, 0.0),
                     rng.uniform(backoff_s, max(backoff_s, previous_delay * 3.0)),
-                )
+                ), 6)
                 previous_delay = delay
-                entry["backoff_s"] = round(delay, 6)
+                entry["backoff_s"] = delay
                 _sleep(delay)
             attempt_errors.append(entry)
         else:
@@ -490,7 +490,7 @@ class CampaignScheduler:
         # active at that moment (the CLI's --status flag installs one).
         self.progress = progress
         self._progress: Union[ProgressWriter, NullProgress] = NULL_PROGRESS
-        #: Set to the abort reason once a fail_fast failure fires.
+        #: Set to the abort reason once :meth:`abort` fires.
         self._abort: Optional[str] = None
 
     # ------------------------------------------------------------------ #
@@ -598,6 +598,13 @@ class CampaignScheduler:
             cached=result.cached, failed=result.failed, stolen=result.stolen,
         )
         return result
+
+    def abort(self, reason: str) -> None:
+        """Stop the running campaign between jobs: running jobs finish, the
+        rest end ``"skipped"``.  The first reason wins.  Used by ``fail_fast``
+        and by ``pasta serve`` cancels (from a progress sink)."""
+        if self._abort is None:
+            self._abort = reason
 
     def _resume_map(self) -> dict[str, dict[str, object]]:
         """Completed cells recoverable from the store: digest -> record.
@@ -1162,8 +1169,7 @@ class CampaignScheduler:
         if outcome.status == "failed" and self.on_failure == "degrade":
             outcome = self._degraded_outcome(outcome)
         if not outcome.ok and outcome.status != "skipped" and self.on_failure == "fail_fast":
-            if self._abort is None:
-                self._abort = f"{outcome.job.label()} {outcome.status}: {outcome.error}"
+            self.abort(f"{outcome.job.label()} {outcome.status}: {outcome.error}")
         outcomes[index] = outcome
         # Re-attempts beyond the first try: a success after N failures retried
         # N times; a failure's final attempt was not itself a retry.

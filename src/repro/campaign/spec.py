@@ -18,7 +18,6 @@ digests, and picklable for the process-pool scheduler.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, field
 from itertools import product
 from pathlib import Path
@@ -250,16 +249,3 @@ def expand_jobs(spec: Union[CampaignSpec, Iterable[ProfileSpec]]) -> list[Profil
     if isinstance(spec, CampaignSpec):
         return spec.expand()
     return list(spec)
-
-
-def __getattr__(name: str):
-    if name == "JobSpec":
-        warnings.warn(
-            "JobSpec is deprecated; a campaign job is now a "
-            "repro.api.ProfileSpec (same fields, plus an optional "
-            "record_to)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return ProfileSpec
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -174,7 +174,7 @@ class ResultStore:
         return out
 
     def clear(self) -> None:
-        """Delete the backing file (used by ``pasta-campaign clean``)."""
+        """Delete the backing file (used by ``pasta campaign clean``)."""
         try:
             self.path.unlink()
         except FileNotFoundError:

@@ -12,10 +12,6 @@ of the profiler itself, written as ``DIR/telemetry.jsonl``) and
 ``--log-level LEVEL`` (stdlib logging for the ``repro.*`` namespace); the
 ``PASTA_TELEMETRY`` environment variable enables telemetry without touching
 the command line.  ``pasta telemetry`` analyses the resulting files.
-
-The historical ``pasta-profile`` / ``pasta-campaign`` / ``pasta-trace``
-console scripts still work but are deprecated shims over these subcommands
-(see :mod:`repro.cli`, :mod:`repro.campaign.cli`, :mod:`repro.replay.cli`).
 """
 
 from __future__ import annotations

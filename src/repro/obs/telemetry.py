@@ -16,9 +16,9 @@ written.  Instrumented code never needs ``if enabled:`` guards *except*
 where building the call's arguments is itself expensive; ``enabled`` exists
 for exactly those sites.
 
-A process has at most one *active* telemetry at a time (:func:`active` /
-:func:`activate`), which is what the instrumented layers consult when no
-explicit handle is passed down.  The ``PASTA_TELEMETRY`` environment
+A process has at most one *active* telemetry, :data:`ACTIVE_TELEMETRY`
+(:func:`active` / :func:`activate`), which instrumented layers consult when
+no explicit handle is passed down.  The ``PASTA_TELEMETRY`` environment
 variable names a directory to activate telemetry in for processes not
 started through the CLI flags (e.g. the perf benchmark harness).
 
@@ -33,10 +33,10 @@ import atexit
 import logging
 import os
 import time
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from typing import ContextManager, Mapping, Optional, Sequence, Union
 
+from repro.active import ActiveHandle
 from repro.obs.log import get_logger
 from repro.obs.metrics import (
     DURATION_BUCKETS_S,
@@ -336,41 +336,29 @@ class NullTelemetry:
 NULL_TELEMETRY = NullTelemetry()
 
 #: The process-wide active telemetry consulted by instrumented layers.
-_active: Union[Telemetry, NullTelemetry] = NULL_TELEMETRY
+ACTIVE_TELEMETRY: ActiveHandle[Union[Telemetry, NullTelemetry]] = ActiveHandle(NULL_TELEMETRY)
 
 
 def active() -> Union[Telemetry, NullTelemetry]:
     """The currently active telemetry (the shared null object when disabled)."""
-    return _active
+    return ACTIVE_TELEMETRY.get()
 
 
 def activate(telemetry: Union[Telemetry, NullTelemetry]) -> Union[Telemetry, NullTelemetry]:
     """Install ``telemetry`` as the process-wide active telemetry."""
-    global _active
-    _active = telemetry
-    return telemetry
+    return ACTIVE_TELEMETRY.set(telemetry)
 
 
 def deactivate() -> None:
     """Reset the active telemetry to the shared null object."""
-    global _active
-    _active = NULL_TELEMETRY
+    ACTIVE_TELEMETRY.set(NULL_TELEMETRY)
 
 
-@contextmanager
 def activated(
     telemetry: Union[Telemetry, NullTelemetry], *, close: bool = True
-) -> Iterator[Union[Telemetry, NullTelemetry]]:
+) -> ContextManager[Union[Telemetry, NullTelemetry]]:
     """Scope ``telemetry`` as active, restoring (and closing) on exit."""
-    global _active
-    previous = _active
-    _active = telemetry
-    try:
-        yield telemetry
-    finally:
-        _active = previous
-        if close:
-            telemetry.close()
+    return ACTIVE_TELEMETRY.scope(telemetry, close=close)
 
 
 def from_env(environ: Optional[Mapping[str, str]] = None) -> Union[Telemetry, NullTelemetry]:

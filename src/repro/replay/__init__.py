@@ -13,9 +13,10 @@ record-once/analyze-many model of vendor profilers' offline workflows:
   category / kernel-range / region slicing and a lightweight seek index;
 * :mod:`repro.replay.replayer` — :class:`TraceReplayer`, which re-drives any
   tool set (optionally under a different analysis model or cost-model
-  configuration) through a fresh event processor with no runtime attached;
-* :mod:`repro.replay.cli` — the ``pasta-trace`` command
-  (``record`` / ``replay`` / ``info`` / ``slice``).
+  configuration) through a fresh event processor with no runtime attached.
+
+The ``pasta trace`` command (``record`` / ``replay`` / ``info`` /
+``slice``) lives in :mod:`repro.commands.trace`.
 """
 
 from repro.replay.format import (

@@ -316,7 +316,7 @@ class TraceReader:
         return hasher.hexdigest() == footer.digest and count == footer.event_count
 
     def info(self) -> dict[str, object]:
-        """Summary of the trace for ``pasta-trace info``."""
+        """Summary of the trace for ``pasta trace info``."""
         footer = self.footer
         return {
             "path": str(self.path),

@@ -2,10 +2,11 @@
 
 A :class:`JobManager` owns everything stateful behind the HTTP surface:
 
-* a **worker pool** of plain threads executing submissions through the
-  unified runner (:func:`repro.api.runner.execute_payload`) — the same code
-  path a local ``pasta profile`` run takes, which is what makes remote
-  results byte-identical to local ones;
+* a **worker pool** of plain threads executing profile submissions through
+  the unified runner (:func:`repro.api.runner.execute_payload`) and campaign
+  submissions through :class:`~repro.campaign.scheduler.CampaignScheduler`
+  — the same code paths a local ``pasta profile`` / ``pasta campaign run``
+  takes, which is what makes remote results byte-identical to local ones;
 * the **content-addressed cache** (:class:`~repro.campaign.cache.ResultCache`)
   under ``<data_dir>/cache``: a submission whose spec digest is already
   cached completes without simulating anything, and the same directory is
@@ -36,10 +37,13 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Mapping, Optional, Union
+from typing import Iterable, Iterator, Mapping, Optional, Union
 
 import repro
+from repro.api.runner import execute_payload
+from repro.api.spec import ProfileSpec
 from repro.campaign.cache import ResultCache
+from repro.campaign.scheduler import CampaignScheduler
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import ResultStore
 from repro.core.serialization import content_digest, json_sanitize
@@ -115,6 +119,54 @@ class Job:
             events=len(self.events),
             resumed=self.resumed,
         )
+
+
+def _reject_record_to(specs: Iterable[ProfileSpec]) -> None:
+    """A daemon never writes a trace to a path a client names."""
+    if any(spec.record_to is not None for spec in specs):
+        raise ReproError(
+            "remote runs cannot record traces to a client-side path; "
+            "drop 'record_to' from the submitted spec"
+        )
+
+
+def _cell(label: str, digest: str, status: str, error: object) -> dict[str, object]:
+    """One campaign cell as serve reports it: a cache hit reads ``"ok"``."""
+    cell: dict[str, object] = {
+        "label": label,
+        "digest": digest,
+        "status": "ok" if status == "cached" else status,
+        "cache_hit": status == "cached",
+    }
+    if error is not None:
+        cell["error"] = error
+    return cell
+
+
+class _CellProgress:
+    """Progress-bus sink of one served campaign: each finished cell becomes
+    the job's ``progress`` record, and a cancel request aborts the scheduler
+    (cells not yet started end ``skipped`` and emit no record)."""
+
+    def __init__(self, manager: "JobManager", job: Job, scheduler: CampaignScheduler,
+                 digests: list[str]) -> None:
+        self.manager = manager
+        self.job = job
+        self.scheduler = scheduler
+        #: Full cell digests by grid index (the bus carries 12-char prefixes).
+        self.digests = digests
+
+    def emit(self, kind: str, **fields: object) -> None:
+        if self.job.cancel_requested:
+            self.scheduler.abort("cancelled by the client")
+        if kind != "job" or fields["event"] != "finished" or fields["status"] == "skipped":
+            return
+        index = int(fields["index"])  # type: ignore[call-overload]
+        cell = _cell(str(fields["job"]), self.digests[index], str(fields["status"]), fields["error"])
+        with self.manager._cond:
+            self.manager._emit_locked(self.job, record(
+                "progress", job_id=self.job.id, index=index, total=len(self.digests), **cell
+            ))
 
 
 def classify_submission(body: Mapping[str, object]) -> tuple[str, dict[str, object]]:
@@ -202,20 +254,14 @@ class JobManager:
     def _digest_of(self, kind: str, payload: Mapping[str, object]) -> str:
         """Validate a spec payload and compute its content digest."""
         if kind == "profile":
-            from repro.api.spec import ProfileSpec
-
             spec = ProfileSpec.from_dict(payload)
-            if spec.record_to is not None:
-                raise ReproError(
-                    "remote runs cannot record traces to a client-side path; "
-                    "drop 'record_to' from the submitted spec"
-                )
+            _reject_record_to([spec])
             return spec.digest(self.version)
         if kind == "campaign":
             campaign = CampaignSpec.from_dict(payload)
             # Expansion validates every axis value early, so a bad grid is a
             # 400 at submit time, not a failed job minutes later.
-            campaign.expand()
+            _reject_record_to(campaign.expand())
             return content_digest(campaign.to_dict(), self.version)
         raise ReproError(f"unknown job kind {kind!r}; expected {list(JOB_KINDS)}")
 
@@ -470,8 +516,6 @@ class JobManager:
                 self._fail(job, f"{type(error).__name__}: {error}")
 
     def _run_profile(self, job: Job) -> None:
-        from repro.api.runner import execute_payload
-
         telemetry = _active_telemetry()
         result = self.cache.get(job.digest)
         cache_hit = result is not None
@@ -497,76 +541,33 @@ class JobManager:
             self._finish_locked(job, "done", result=None if not cache_hit else None)
 
     def _run_campaign(self, job: Job) -> None:
-        from repro.api.runner import execute_payload
-
-        telemetry = _active_telemetry()
+        """Run a campaign job through the campaign scheduler, inline."""
         campaign = CampaignSpec.from_dict(job.payload)
-        cells = campaign.expand()
-        total = len(cells)
-        outcomes: list[dict[str, object]] = []
-        executed = cached = failed = 0
-        for index, cell in enumerate(cells):
-            with self._cond:
-                if job.cancel_requested:
-                    self._finish_locked(job, "cancelled")
-                    return
-            digest = cell.digest(self.version)
-            cell_record = self.cache.get(digest)
-            cache_hit = cell_record is not None
-            status = "ok"
-            error: Optional[str] = None
-            if cell_record is None:
-                try:
-                    cell_record = execute_payload(cell.to_dict())
-                    self.cache.put(digest, cell_record)
-                    executed += 1
-                    with self._cond:
-                        self.executed += 1
-                    telemetry.counter("serve.simulations").inc()
-                except Exception as cell_error:
-                    # Cell isolation, campaign-scheduler style: one bad cell
-                    # is recorded and the grid keeps going.
-                    status = "failed"
-                    error = f"{type(cell_error).__name__}: {cell_error}"
-                    failed += 1
-            else:
-                cached += 1
-                with self._cond:
-                    self.cache_hits += 1
-                telemetry.counter("serve.cache_hits").inc()
-            outcome: dict[str, object] = {
-                "label": cell.label(),
-                "digest": digest,
-                "status": status,
-                "cache_hit": cache_hit,
-            }
-            if error is not None:
-                outcome["error"] = error
-            outcomes.append(outcome)
-            with self._cond:
-                self._emit_locked(job, record(
-                    "progress",
-                    job_id=job.id,
-                    index=index,
-                    total=total,
-                    **outcome,
-                ))
+        digests = [cell.digest(self.version) for cell in campaign.expand()]
+        scheduler = CampaignScheduler(cache=self.cache, version=self.version)
+        scheduler.progress = _CellProgress(self, job, scheduler, digests)
+        run = scheduler.run(campaign)
+        telemetry = _active_telemetry()
+        telemetry.counter("serve.simulations").inc(run.executed)
+        telemetry.counter("serve.cache_hits").inc(run.cached)
         # Per-cell reports stay content-addressed in the cache — the result
         # lists their digests so a client fetches exactly what it wants via
         # GET /v1/cache/<digest> instead of one giant payload.
         result = {
-            "campaign": campaign.name,
-            "total": total,
-            "executed": executed,
-            "cached": cached,
-            "failed": failed,
-            "cells": outcomes,
+            "campaign": run.name,
+            "total": run.total,
+            "executed": run.executed,
+            "cached": run.cached,
+            "failed": run.failed,
+            "cells": [_cell(o.job.label(), o.digest, o.status, o.error) for o in run.outcomes],
         }
         with self._cond:
+            self.executed += run.executed
+            self.cache_hits += run.cached
             if job.cancel_requested:
                 self._finish_locked(job, "cancelled")
                 return
-            job.cache_hit = total > 0 and cached == total
+            job.cache_hit = run.total > 0 and run.cached == run.total
             job.result = result
             self._emit_locked(job, record("result", job_id=job.id, record=result))
             self._finish_locked(job, "done", result=result)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from repro.errors import ToolError
 from repro.core.events import EventCategory, KernelLaunchEvent, MemoryAllocEvent, TensorAllocEvent
@@ -28,6 +28,9 @@ from repro.core.serialization import json_sanitize
 from repro.core.tool import PastaTool
 from repro.gpusim.device import DeviceSpec, GpuDevice
 from repro.gpusim.uvm import UvmConfig, UvmManager, UvmStats
+
+if TYPE_CHECKING:
+    from repro.api.runner import ProfileResult
 
 
 class PrefetchPolicy(str, Enum):
@@ -145,6 +148,27 @@ class UvmPrefetchAdvisor(PastaTool):
             "driver_objects": len(self._objects_by_address),
             "managed_footprint_bytes": self.managed_footprint_bytes(),
         })
+
+
+def record_uvm_schedule(
+    model_name: str,
+    device: Union[str, DeviceSpec] = "rtx3060",
+    mode: str = "inference",
+    iterations: int = 1,
+    batch_size: Optional[int] = None,
+) -> tuple[list[KernelScheduleEntry], UvmPrefetchAdvisor, ProfileResult]:
+    """Profile a model with the UVM prefetch advisor and return its schedule.
+
+    The schedule (kernel launches with their object- and tensor-level address
+    ranges) is what :class:`UvmPrefetchExecutor` replays under different
+    prefetch policies for Figures 11 and 12.
+    """
+    from repro import api  # lazily: the api layer sits above the tools
+
+    advisor = UvmPrefetchAdvisor()
+    result = api.run(model_name, device=device, mode=mode, iterations=iterations,
+                     tools=[advisor], batch_size=batch_size)
+    return advisor.schedule, advisor, result
 
 
 @dataclass

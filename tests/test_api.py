@@ -1,4 +1,4 @@
-"""Tests for the unified profiling API (`repro.api`) and its compat shims.
+"""Tests for the unified profiling API (`repro.api`).
 
 The acceptance criterion of the API redesign: a single
 :class:`~repro.api.spec.ProfileSpec` value drives all four execution paths —
@@ -268,99 +268,9 @@ class TestPublicSurface:
 
 
 # ---------------------------------------------------------------------- #
-# backward-compat shims: warn, then behave identically
+# backward compatibility: old campaign spec files
 # ---------------------------------------------------------------------- #
 class TestDeprecatedShims:
-    def test_run_workload_warns_and_matches_the_new_api(self):
-        from repro.workloads.runner import run_workload
-
-        with pytest.warns(DeprecationWarning, match="repro.api.run"):
-            old = run_workload("alexnet", device="a100",
-                               tools=["kernel_frequency"], batch_size=2)
-        new = api.run("alexnet", device="a100",
-                      tools=["kernel_frequency"], batch_size=2)
-        assert canonical_bytes(old.reports()) == canonical_bytes(new.reports())
-
-    def test_run_workload_legacy_parameter_names_still_work(self, tmp_path):
-        from repro.workloads.runner import run_workload
-
-        trace = tmp_path / "legacy.pastatrace"
-        with pytest.warns(DeprecationWarning):
-            result = run_workload("alexnet", vendor_backend="nvbit",
-                                  enable_fine_grained=True, batch_size=2,
-                                  record_to=trace)
-        assert result.session.backend.name == "nvbit"
-        assert trace.exists()
-
-    def test_job_payload_helpers_warn_and_delegate(self, tmp_path):
-        from repro.workloads.runner import (
-            execute_job_payload,
-            job_workload_signature,
-        )
-
-        payload = {"model": "alexnet", "batch_size": 2,
-                   "tools": ["kernel_frequency"]}
-        with pytest.warns(DeprecationWarning, match="execute_payload"):
-            old = execute_job_payload(payload)
-        assert old["reports"] == api.execute_payload(payload)["reports"]
-        with pytest.warns(DeprecationWarning, match="workload_signature"):
-            signature = job_workload_signature(payload)
-        assert signature == api.workload_signature(payload)
-
-    def test_jobspec_alias_warns_and_is_profilespec(self):
-        import repro.campaign.spec as campaign_spec
-
-        with pytest.warns(DeprecationWarning, match="ProfileSpec"):
-            alias = campaign_spec.JobSpec
-        assert alias is ProfileSpec
-        with pytest.warns(DeprecationWarning):
-            from repro.campaign import JobSpec as packaged_alias
-        assert packaged_alias is ProfileSpec
-
-    def test_pasta_profile_shim_warns_and_matches_umbrella_output(self, capsys):
-        import repro.cli
-        from repro.commands import main as pasta_main
-
-        argv = ["alexnet", "-t", "kernel_frequency", "--batch-size", "2", "--json"]
-        with pytest.warns(DeprecationWarning, match="pasta profile"):
-            assert repro.cli.main(argv) == 0
-        old_out = capsys.readouterr().out
-        assert pasta_main(["profile", *argv]) == 0
-        assert capsys.readouterr().out == old_out
-
-    def test_pasta_campaign_shim_warns_and_matches_umbrella_output(
-            self, tmp_path, capsys):
-        import repro.campaign.cli
-        from repro.commands import main as pasta_main
-
-        spec_path = tmp_path / "sweep.json"
-        spec_path.write_text(json.dumps({
-            "name": "shim", "models": ["alexnet"],
-            "tools": ["kernel_frequency"], "batch_size": 2,
-        }))
-        argv = ["run", str(spec_path), "--dry-run"]
-        with pytest.warns(DeprecationWarning, match="pasta campaign"):
-            assert repro.campaign.cli.main(argv) == 0
-        old_out = capsys.readouterr().out
-        assert pasta_main(["campaign", *argv]) == 0
-        assert capsys.readouterr().out == old_out
-
-    def test_pasta_trace_shim_warns_and_matches_umbrella_output(
-            self, tmp_path, capsys):
-        import repro.replay.cli
-        from repro.commands import main as pasta_main
-
-        trace = tmp_path / "t.pastatrace"
-        assert pasta_main(["trace", "record", "alexnet", "-o", str(trace),
-                           "--batch-size", "2"]) == 0
-        capsys.readouterr()
-        argv = ["replay", str(trace), "-t", "kernel_frequency", "--json"]
-        with pytest.warns(DeprecationWarning, match="pasta trace"):
-            assert repro.replay.cli.main(argv) == 0
-        old_out = capsys.readouterr().out
-        assert pasta_main(["trace", *argv]) == 0
-        assert capsys.readouterr().out == old_out
-
     def test_campaign_spec_json_files_keep_working(self, tmp_path):
         # Old-style campaign JSON (including extra_jobs in the historical
         # JobSpec shape, without record_to) loads and runs unchanged.

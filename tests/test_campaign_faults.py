@@ -21,7 +21,7 @@ from repro.campaign import (
     faults_scope,
 )
 from repro.campaign.cache import QUARANTINE_SUFFIX
-from repro.campaign.faults import FAULTS_ENV, NULL_FAULTS, from_env
+from repro.campaign.faults import ACTIVE_FAULTS, FAULTS_ENV, NULL_FAULTS, from_env
 from repro.campaign import scheduler as scheduler_module
 from repro.errors import ReproError
 
@@ -143,9 +143,7 @@ class TestFaultInjector:
         monkeypatch.setenv(FAULTS_ENV, json.dumps(
             {"rules": [{"site": "s", "kind": "error"}]}))
         # Simulate a fresh process-pool worker: nothing armed yet.
-        scheduler_module_faults = __import__(
-            "repro.campaign.faults", fromlist=["_active"])
-        monkeypatch.setattr(scheduler_module_faults, "_active", None)
+        ACTIVE_FAULTS.reset()
         assert active_faults().enabled
         deactivate_faults()
         assert not active_faults().enabled

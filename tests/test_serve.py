@@ -149,10 +149,24 @@ class TestLifecycle:
         with pytest.raises(ServeError, match="record"):
             builder.record("trace.pasta")
 
+    def test_campaign_replay_mode_is_honoured(self, daemon: PastaDaemon) -> None:
+        result = connect(daemon.url).submit(
+            {**CAMPAIGN, "execution": "replay"}).result(timeout=300)
+        assert result.total == 4 and result.failed == 0
+        for cell in result.cells:
+            fetched = result.cell_record(cell["digest"])
+            assert fetched is not None and fetched["execution"] == "replay"
+
     def test_record_to_rejected_at_submit(self, daemon: PastaDaemon) -> None:
-        with pytest.raises(ServeError, match="record_to") as info:
-            connect(daemon.url).submit({**SPEC, "record_to": "trace.pasta"})
-        assert info.value.code == 400
+        client = connect(daemon.url)
+        for spec in (
+            {**SPEC, "record_to": "trace.pasta"},
+            {**CAMPAIGN, "extra_jobs": [{**SPEC, "record_to": "trace.pasta"}]},
+        ):
+            with pytest.raises(ServeError, match="record_to") as info:
+                client.submit(spec)
+            assert info.value.code == 400
+        assert daemon.manager.jobs() == []
 
 
 # ---------------------------------------------------------------------- #

@@ -18,7 +18,7 @@ from repro.tools import (
     WorkloadProfile,
 )
 from repro import api
-from repro.workloads import record_uvm_schedule
+from repro.tools.uvm_prefetch import record_uvm_schedule
 
 MB = 1024 * 1024
 
