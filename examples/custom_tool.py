@@ -7,30 +7,28 @@ three hooks: it attributes every explicit memory copy and every synchronisation
 stall to the operator that was executing, then reports the operators that move
 the most data across PCIe.
 
-Writing batch-aware tools
--------------------------
-Fine-grained (device-side) data arrives as **columnar batches**: one
+Writing fine-grained tools
+--------------------------
+Fine-grained (device-side) data always arrives as **columnar batches**: one
 ``MemoryAccessBatch`` / ``InstructionBatch`` event per kernel launch, holding
-the launch's sampled records as parallel arrays.  You never have to care —
-subscribing to ``EventCategory.MEMORY_ACCESS`` and overriding
-``on_memory_access`` keeps working, because the base class unrolls each batch
-into the per-record hook in delivery order.  But if your analysis is hot,
-override the batch hook and consume the arrays directly::
+the launch's sampled records as parallel arrays.  A tool subscribes to
+``EventCategory.MEMORY_ACCESS``, sets ``requires_fine_grained = True`` and
+overrides **one** hook, not both:
 
-    class MyTool(PastaTool):
-        subscribed_categories = frozenset({EventCategory.MEMORY_ACCESS})
-        requires_fine_grained = True
+* ``on_memory_access`` (simple): the base class unrolls each batch into this
+  per-record hook in delivery order::
 
-        def on_memory_access_batch(self, batch):   # native fast path
-            self.writes += sum(batch.write_flags)  # columnar, no per-record events
+      def on_memory_access(self, event):
+          self.writes += event.is_write
 
-        def on_memory_access(self, event):         # still used when a trace
-            self.writes += event.is_write          # carries per-record events
+* ``on_memory_access_batch`` (fast): consume the arrays directly, with no
+  per-record events::
 
-Keep both implementations in agreement: the pipeline guarantees a batch
-unrolls to exactly the per-record stream, so the two hooks must accumulate
-identical state (see ``repro/tools/access_histogram.py`` for the bundled
-reference and ``tests/test_perf_pipeline.py`` for the equivalence harness).
+      def on_memory_access_batch(self, batch):
+          self.writes += sum(batch.write_flags)
+
+Either way the tool sees every record exactly once, whatever shape a trace
+holds (see ``repro/tools/access_histogram.py`` for a bundled batch tool).
 
 Run with:  python examples/custom_tool.py
 """

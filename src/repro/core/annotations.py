@@ -97,6 +97,12 @@ class RangeFilter:
     # ------------------------------------------------------------------ #
     # the filter itself
     # ------------------------------------------------------------------ #
+    @property
+    def can_reject(self) -> bool:
+        """True when :meth:`in_range` may reject a launch: a grid-id window is
+        set or an annotation region has been used."""
+        return self.start_grid_id is not None or self.end_grid_id is not None or self.annotations_used
+
     def in_range(self, grid_index: int) -> bool:
         """True if a launch with this sequential index should be analysed."""
         if self.start_grid_id is not None and grid_index < self.start_grid_id:

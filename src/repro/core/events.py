@@ -12,14 +12,15 @@ processor and the tools.  The taxonomy follows Table II:
 * **high-level DL framework events** — operator start/end, tensor allocation
   and reclamation, plus annotation-driven region boundaries.
 
-Fine-grained data travels in two shapes: the per-record events
-(:class:`MemoryAccessEvent` / :class:`InstructionEvent`) and the columnar
+Fine-grained data is produced and delivered in one shape: the columnar
 batch events (:class:`MemoryAccessBatch` / :class:`InstructionBatch`) that
-carry one kernel launch's sampled records as parallel arrays.  Batches are
-what the vendor backends ship by default — one event per launch instead of
-one per access — mirroring the paper's collect-and-analyze principle
-(Figure 2b): aggregate on the producer side, move compact containers, never
-pay a per-record delivery cost.
+carry one kernel launch's sampled records as parallel arrays — one event per
+launch instead of one per access — mirroring the paper's collect-and-analyze
+principle (Figure 2b): aggregate on the producer side, move compact
+containers, never pay a per-record delivery cost.  The per-record events
+(:class:`MemoryAccessEvent` / :class:`InstructionEvent`) remain the unit a
+batch unrolls into for per-record tools; a lone per-record event, e.g. from a
+third-party trace, enters the pipeline as a length-1 batch via ``as_batch()``.
 
 All event classes use ``slots=True`` (compact instances, faster attribute
 access) and ``eq=False`` (identity comparison; events are never compared by
@@ -283,6 +284,20 @@ class MemoryAccessEvent(PastaEvent):
     def __post_init__(self) -> None:
         self.category = EventCategory.MEMORY_ACCESS
 
+    def as_batch(self) -> MemoryAccessBatch:
+        """Length-1 columnar view; :meth:`MemoryAccessBatch.unroll` inverts it."""
+        return MemoryAccessBatch(
+            kernel_launch_id=self.kernel_launch_id,
+            addresses=(self.address,),
+            sizes=(self.size,),
+            write_flags=(self.is_write,),
+            thread_indices=(self.thread_index,),
+            block_indices=(self.block_index,),
+            device_index=self.device_index,
+            timestamp_ns=self.timestamp_ns,
+            source=self.source,
+        )
+
 
 @dataclass(slots=True, eq=False)
 class InstructionEvent(PastaEvent):
@@ -296,15 +311,26 @@ class InstructionEvent(PastaEvent):
     def __post_init__(self) -> None:
         self.category = EventCategory.INSTRUCTION
 
+    def as_batch(self) -> InstructionBatch:
+        """Length-1 columnar view; :meth:`InstructionBatch.unroll` inverts it."""
+        return InstructionBatch(
+            kernel_launch_id=self.kernel_launch_id,
+            kinds=(self.kind,),
+            thread_indices=(self.thread_index,),
+            block_indices=(self.block_index,),
+            device_index=self.device_index,
+            timestamp_ns=self.timestamp_ns,
+            source=self.source,
+        )
+
 
 @dataclass(slots=True, eq=False)
 class MemoryAccessBatch(PastaEvent):
     """One kernel launch's sampled memory accesses as parallel arrays.
 
-    The columnar twin of :class:`MemoryAccessEvent`: element ``i`` of every
-    array describes one access, and the array order matches the order the
-    per-record pipeline would have delivered the same accesses in, so
-    unrolling a batch reproduces the unbatched stream exactly.
+    The columnar form of :class:`MemoryAccessEvent`: element ``i`` of every
+    array describes one access, in the order the kernel issued them, so
+    unrolling a batch yields the accesses as a per-record stream.
     """
 
     kernel_launch_id: int = 0
@@ -343,7 +369,7 @@ class MemoryAccessBatch(PastaEvent):
 class InstructionBatch(PastaEvent):
     """One kernel launch's sampled non-memory instructions as parallel arrays.
 
-    The columnar twin of :class:`InstructionEvent` (barriers, block markers,
+    The columnar form of :class:`InstructionEvent` (barriers, block markers,
     device calls, ...), with the same ordering guarantee as
     :class:`MemoryAccessBatch`.
     """

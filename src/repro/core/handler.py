@@ -7,7 +7,9 @@ The handler is the first of PASTA's three modules (Figure 1).  It
   :mod:`repro.dlframework.callbacks`,
 * translates each vendor callback / framework callback into the unified event
   model of :mod:`repro.core.events`, normalising cross-vendor inconsistencies
-  (sign conventions for reclamation sizes, naming, direction metadata), and
+  (sign conventions for reclamation sizes, naming, direction metadata) —
+  a launch's device records arrive as one columnar vendor batch and leave as
+  batch events, never one event per record — and
 * forwards normalised events to the event processor.
 
 Supporting a new accelerator only requires adding a backend adapter here; the
@@ -23,12 +25,10 @@ from repro.core.events import (
     BATCH_CATEGORY_BASES,
     EventCategory,
     InstructionBatch,
-    InstructionEvent,
     KernelArgumentInfo,
     KernelLaunchEvent,
     MemcpyEvent,
     MemoryAccessBatch,
-    MemoryAccessEvent,
     MemoryAllocEvent,
     MemoryFreeEvent,
     MemsetEvent,
@@ -43,7 +43,7 @@ from repro.core.events import (
 )
 from repro.dlframework.allocator import MemoryUsageRecord
 from repro.dlframework.callbacks import FrameworkCallbackRegistry, OperatorEvent
-from repro.gpusim.instruction import InstructionBatchRecord, InstructionRecord
+from repro.gpusim.instruction import InstructionBatchRecord
 from repro.gpusim.kernel import KernelLaunch
 from repro.gpusim.memory import MemoryObject
 from repro.gpusim.runtime import MemcpyRecord, MemsetRecord, SyncRecord
@@ -81,8 +81,9 @@ class PastaEventHandler:
     def enable_category(self, category: EventCategory, enabled: bool = True) -> None:
         """Enable or disable emission of one event category.
 
-        Disabling a per-record fine-grained category also silences its batch
-        form, so the data cannot sneak through in the other shape.
+        Disabling a fine-grained base category (``MEMORY_ACCESS`` /
+        ``INSTRUCTION``) also silences its batch form, the shape in which the
+        handler emits that data.
         """
         if enabled:
             self._enabled.add(category)
@@ -193,8 +194,6 @@ class PastaEventHandler:
             ))
         elif isinstance(payload, InstructionBatchRecord):
             self._emit_instruction_batch(payload, device, source)
-        elif isinstance(payload, InstructionRecord):
-            self._emit_instruction(payload, device, source)
         elif isinstance(payload, str):
             self.emit(RuntimeApiEvent(api_name=payload, device_index=device, source=source))
 
@@ -240,8 +239,7 @@ class PastaEventHandler:
 
         The batch's three sections are emitted in stream order (pre-access
         instructions, memory accesses, post-access instructions), so tools
-        that unroll see exactly the sequence the per-record protocol
-        delivers.
+        that unroll see the records in the order the kernel issued them.
         """
         if batch.pre_kinds:
             self.emit(InstructionBatch(
@@ -253,15 +251,10 @@ class PastaEventHandler:
                 source=source,
             ))
         if batch.addresses:
-            sizes = batch.sizes
-            if 0 in sizes:
-                # Same normalisation the per-record path applies
-                # (``record.size or 4``), so both delivery modes agree.
-                sizes = tuple(size or 4 for size in sizes)
             self.emit(MemoryAccessBatch(
                 kernel_launch_id=batch.kernel_launch_id,
                 addresses=batch.addresses,
-                sizes=sizes,
+                sizes=batch.sizes,
                 write_flags=batch.write_flags,
                 thread_indices=batch.access_thread_indices,
                 block_indices=batch.access_block_indices,
@@ -274,28 +267,6 @@ class PastaEventHandler:
                 kinds=batch.post_kinds,
                 thread_indices=batch.post_thread_indices,
                 block_indices=batch.post_block_indices,
-                device_index=device,
-                source=source,
-            ))
-
-    def _emit_instruction(self, record: InstructionRecord, device: int, source: str) -> None:
-        if record.kind.is_memory_access and record.address is not None:
-            self.emit(MemoryAccessEvent(
-                address=record.address,
-                size=record.size or 4,
-                is_write=record.kind.is_write,
-                kernel_launch_id=record.kernel_launch_id,
-                thread_index=record.thread_index,
-                block_index=record.block_index,
-                device_index=device,
-                source=source,
-            ))
-        else:
-            self.emit(InstructionEvent(
-                kind=record.kind,
-                kernel_launch_id=record.kernel_launch_id,
-                thread_index=record.thread_index,
-                block_index=record.block_index,
                 device_index=device,
                 source=source,
             ))

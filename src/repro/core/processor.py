@@ -15,7 +15,9 @@ normalised events from the event handler and
   range filter.  Routing is indexed — per-category tool tuples are rebuilt
   when the tool set changes — so delivering an event costs one lookup, and
   fine-grained columnar batches (one event per kernel launch) flow straight
-  through to the tools' batch hooks.
+  through to the tools' batch hooks.  A lone per-record fine-grained event
+  (a third-party producer or trace) is turned into a length-1 batch at
+  intake, so tools only ever receive fine-grained data as batches.
 
 An optional :class:`~repro.core.overhead.OverheadAccountant` charges every
 analysed kernel with the cost the configured backend/analysis-model pair would
@@ -37,9 +39,6 @@ from repro.core.events import (
     PastaEvent,
     RegionEvent,
 )
-
-#: Columnar batch categories (keys of the batch→base mapping).
-_BATCH_CATEGORIES = frozenset(BATCH_CATEGORY_BASES)
 from repro.core.overhead import OverheadAccountant
 from repro.core.tool import PastaTool
 from repro.gpusim.trace import AccessCountMap
@@ -47,6 +46,11 @@ from repro.gpusim.trace import AccessCountMap
 #: Resolves an address to ``(object_id, object_size)`` or ``None``; normally
 #: bound to the driver allocator's lookup.
 AddressResolver = Callable[[int], Optional[tuple[int, int]]]
+
+#: Columnar batch categories (keys of the batch→base mapping).
+_BATCH_CATEGORIES = frozenset(BATCH_CATEGORY_BASES)
+#: Per-record fine-grained categories, adapted to batches at intake.
+_PER_RECORD_CATEGORIES = frozenset(BATCH_CATEGORY_BASES.values())
 
 
 class DispatchUnit:
@@ -145,6 +149,9 @@ class PastaEventProcessor:
         self.batches_dispatched = 0
         #: Logical records carried by those batches (sum of batch lengths).
         self.batch_records = 0
+        #: Batches waiting for their launch's range decision; only used
+        #: while the range filter can reject launches.
+        self._held: list[PastaEvent] = []
         #: Cumulative per-object access counts across all analysed kernels.
         self.global_access_map = AccessCountMap()
 
@@ -185,14 +192,17 @@ class PastaEventProcessor:
             self._handle_kernel_launch(event)  # type: ignore[arg-type]
             return
         if event.category in FINE_GRAINED_CATEGORIES:
-            # Fine-grained events inherit their kernel's range decision: when
-            # an annotation window is active, accesses are only generated for
-            # launches inside it, so they can be forwarded directly.
+            if event.category in _PER_RECORD_CATEGORIES:
+                event = event.as_batch()  # type: ignore[attr-defined]
             if event.category in _BATCH_CATEGORIES:
                 self.batches_dispatched += 1
                 self.batch_records += len(event)  # type: ignore[arg-type]
-            self.dispatch_unit.dispatch(event)
-            return
+                if self.range_filter.can_reject:
+                    # Device records arrive just before their launch's event
+                    # (ProfilingBackend.on_kernel_launch_end) and share its
+                    # range decision, so they wait for it.
+                    self._held.append(event)
+                    return
         self.dispatch_unit.dispatch(event)
 
     def _handle_region(self, event: RegionEvent) -> None:
@@ -203,9 +213,14 @@ class PastaEventProcessor:
         self.dispatch_unit.dispatch(event)
 
     def _handle_kernel_launch(self, event: KernelLaunchEvent) -> None:
+        held = self._held
+        if held:
+            self._held = []
         if not self.range_filter.in_range(event.grid_index):
-            self.events_filtered += 1
+            self.events_filtered += 1 + len(held)
             return
+        for batch in held:
+            self.dispatch_unit.dispatch(batch)
         if self.overhead_accountant is not None:
             self.overhead_accountant.record_kernel(event)
         self.dispatch_unit.dispatch(event)

@@ -7,14 +7,16 @@ the PASTA tool collection template".  Tools receive already-normalised,
 already-preprocessed events from the event processor and never interact with
 vendor APIs directly.
 
-Fine-grained data arrives as columnar batches by default (one
+Fine-grained data always arrives as columnar batches (one
 :class:`~repro.core.events.MemoryAccessBatch` / ``InstructionBatch`` per
-kernel launch).  Tools written before batching existed keep working
-unchanged: the default ``on_memory_access_batch`` / ``on_instruction_batch``
-implementations unroll each batch into the per-record ``on_memory_access`` /
-``on_instruction`` hooks in delivery order.  Batch-aware tools override the
-batch hooks and process the parallel arrays directly, skipping per-record
-event construction entirely.
+kernel launch; the processor turns a lone per-record event into a length-1
+batch).  A tool overrides one hook per kind of record, not both:
+
+* the per-record ``on_memory_access`` / ``on_instruction`` hook — simple: the
+  default ``on_memory_access_batch`` / ``on_instruction_batch``
+  implementations unroll each batch into it in delivery order; or
+* the batch hook — fast: it processes the parallel arrays directly and skips
+  per-record event construction entirely.
 """
 
 from __future__ import annotations

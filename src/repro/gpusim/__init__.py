@@ -22,7 +22,7 @@ from repro.gpusim.device import (
     Vendor,
     get_device_spec,
 )
-from repro.gpusim.instruction import InstructionKind, InstructionRecord, MemoryAccessRecord
+from repro.gpusim.instruction import InstructionKind
 from repro.gpusim.kernel import (
     Dim3,
     GridConfig,
@@ -74,14 +74,12 @@ __all__ = [
     "HipRuntime",
     "InjectionMethod",
     "InstructionKind",
-    "InstructionRecord",
     "InstrumentationBackend",
     "KernelArgument",
     "KernelLaunch",
     "ManagedRegion",
     "MemcpyKind",
     "MemcpyRecord",
-    "MemoryAccessRecord",
     "MemoryKind",
     "MemoryObject",
     "MemsetRecord",

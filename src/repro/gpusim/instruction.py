@@ -4,7 +4,8 @@ PASTA's fine-grained analyses (Table II: global/shared memory accesses, barrier
 instructions, device function calls, ...) consume per-thread instruction
 records.  Real hardware produces these through binary instrumentation (Compute
 Sanitizer patches or NVBit SASS injection); the simulator produces them
-directly from the kernel's declared memory behaviour.
+directly from the kernel's declared memory behaviour, one columnar
+:class:`InstructionBatchRecord` per kernel launch.
 
 Only the fields that PASTA's analyses need are modelled: the instruction kind,
 the issuing thread coordinates, the referenced address/size for memory
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional
 
 
 class InstructionKind(str, Enum):
@@ -39,95 +39,15 @@ class InstructionKind(str, Enum):
     CLUSTER_BARRIER = "cluster_barrier"
     OTHER = "other"
 
-    @property
-    def is_memory_access(self) -> bool:
-        """True for instructions that reference global memory addresses."""
-        return self in _MEMORY_KINDS
-
-    @property
-    def is_write(self) -> bool:
-        """True for instructions that write memory."""
-        return self in (InstructionKind.GLOBAL_STORE, InstructionKind.SHARED_STORE)
-
-
-_MEMORY_KINDS = frozenset(
-    {
-        InstructionKind.GLOBAL_LOAD,
-        InstructionKind.GLOBAL_STORE,
-        InstructionKind.GLOBAL_TO_SHARED_COPY,
-    }
-)
-
-
-@dataclass(frozen=True)
-class MemoryAccessRecord:
-    """One global-memory access observed during kernel execution.
-
-    Attributes
-    ----------
-    address:
-        Virtual address referenced by the access.
-    size:
-        Access width in bytes (4/8/16 for typical loads, up to 128 for vector
-        and asynchronous copy instructions).
-    is_write:
-        True for stores.
-    thread_index:
-        Flattened thread index within the grid that issued the access.
-    block_index:
-        Flattened thread-block index.
-    kernel_launch_id:
-        Launch that produced the access; filled in by the trace collector.
-    """
-
-    address: int
-    size: int
-    is_write: bool
-    thread_index: int = 0
-    block_index: int = 0
-    kernel_launch_id: int = 0
-
-
-@dataclass(frozen=True)
-class InstructionRecord:
-    """A generic device-side instruction event (non-memory or memory).
-
-    ``address``/``size`` are ``None`` for non-memory instructions such as
-    barriers and block entry/exit markers.
-    """
-
-    kind: InstructionKind
-    thread_index: int = 0
-    block_index: int = 0
-    address: Optional[int] = None
-    size: Optional[int] = None
-    kernel_launch_id: int = 0
-
-    def to_memory_access(self) -> MemoryAccessRecord:
-        """Convert to a :class:`MemoryAccessRecord`; only valid for memory kinds."""
-        if not self.kind.is_memory_access or self.address is None or self.size is None:
-            raise ValueError(f"instruction {self.kind} is not a memory access")
-        return MemoryAccessRecord(
-            address=self.address,
-            size=self.size,
-            is_write=self.kind.is_write,
-            thread_index=self.thread_index,
-            block_index=self.block_index,
-            kernel_launch_id=self.kernel_launch_id,
-        )
-
 
 @dataclass(frozen=True)
 class InstructionBatchRecord:
     """One kernel launch's sampled device records as parallel arrays.
 
-    The columnar alternative to a list of :class:`InstructionRecord`: a
-    single object per kernel launch, holding three sections in stream order —
-    the instructions issued *before* the memory accesses (block-entry
+    A single object per kernel launch, holding three sections in stream
+    order — the instructions issued *before* the memory accesses (block-entry
     markers), the memory accesses themselves, and the instructions issued
-    *after* them (block-exit markers).  Iterating the three sections in order
-    yields exactly the record sequence the per-record path would produce, so
-    both delivery modes are interchangeable.
+    *after* them (block-exit markers).
     """
 
     kernel_launch_id: int
@@ -154,30 +74,3 @@ class InstructionBatchRecord:
     def access_count(self) -> int:
         """Number of sampled memory accesses in the batch."""
         return len(self.addresses)
-
-    def iter_records(self) -> "Iterator[InstructionRecord]":
-        """Unrolled per-record view, in the per-record pipeline's order."""
-        for kind, thread, block in zip(
-            self.pre_kinds, self.pre_thread_indices, self.pre_block_indices
-        ):
-            yield InstructionRecord(
-                kind=kind, thread_index=thread, block_index=block,
-                kernel_launch_id=self.kernel_launch_id,
-            )
-        for address, size, is_write, thread, block in zip(
-            self.addresses, self.sizes, self.write_flags,
-            self.access_thread_indices, self.access_block_indices,
-        ):
-            yield InstructionRecord(
-                kind=InstructionKind.GLOBAL_STORE if is_write else InstructionKind.GLOBAL_LOAD,
-                thread_index=thread, block_index=block,
-                address=address, size=size,
-                kernel_launch_id=self.kernel_launch_id,
-            )
-        for kind, thread, block in zip(
-            self.post_kinds, self.post_thread_indices, self.post_block_indices
-        ):
-            yield InstructionRecord(
-                kind=kind, thread_index=thread, block_index=block,
-                kernel_launch_id=self.kernel_launch_id,
-            )

@@ -11,8 +11,11 @@ that declaration the launch can
   of the paper is built on),
 * report the **total number of memory-access instructions** it issues (which
   drives the profiling-overhead model of Figures 9/10), and
-* generate a **deterministic, sampled stream of access records** for
-  fine-grained tools (hotness maps, access-count maps, ...).
+* generate a **deterministic, sampled set of device records** for
+  fine-grained tools (hotness maps, access-count maps, ...), as numpy
+  columns (:meth:`KernelLaunch.generate_access_columns`) or as one columnar
+  :class:`~repro.gpusim.instruction.InstructionBatchRecord` per launch
+  (:meth:`KernelLaunch.generate_instruction_batch`).
 
 Trace generation is seeded from the launch id, so repeated runs of the same
 workload produce identical traces — a property the test suite relies on.
@@ -28,12 +31,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from repro.errors import KernelError
-from repro.gpusim.instruction import (
-    InstructionBatchRecord,
-    InstructionKind,
-    InstructionRecord,
-    MemoryAccessRecord,
-)
+from repro.gpusim.instruction import InstructionBatchRecord, InstructionKind
 
 _launch_ids = itertools.count(1)
 
@@ -202,28 +200,23 @@ class KernelLaunch:
     # ------------------------------------------------------------------ #
     # trace generation
     # ------------------------------------------------------------------ #
-    def generate_access_columns(
-        self,
-        max_records: Optional[int] = 4096,
-        seed: Optional[int] = None,
-    ) -> "AccessColumns":
+    def generate_access_columns(self, max_records: int = 4096) -> "AccessColumns":
         """Sample the launch's memory accesses as parallel numpy arrays.
 
-        This is the producer-side half of the batched fine-grained pipeline:
-        the sample is drawn entirely with vectorised numpy operations and
-        never materialises a per-record Python object.  The draw order (and
-        therefore every sampled value) is identical to what
-        :meth:`generate_accesses` produces, so the batched and per-record
-        paths stay byte-equivalent.
-
-        Passing ``max_records=None`` removes the cap (used only in tests on
-        tiny kernels).
+        The total number of accesses a large kernel issues can reach hundreds
+        of millions; materialising them all would be pointless for analysis
+        quality and ruinous for simulation time.  Instead the simulator
+        samples up to ``max_records`` accesses whose *address coverage*
+        (which arguments, which regions within each argument) matches the
+        declared behaviour, while :attr:`total_memory_accesses` preserves the
+        true volume for overhead accounting.  The sample is drawn entirely
+        with vectorised numpy operations, seeded from the launch id.
         """
         total = self.total_memory_accesses
         if total == 0:
             return _EMPTY_COLUMNS
-        budget = total if max_records is None else min(total, max_records)
-        rng = np.random.default_rng(self.launch_id if seed is None else seed)
+        budget = min(total, max_records)
+        rng = np.random.default_rng(self.launch_id)
 
         accessed = self.accessed_arguments()
         weights = np.array([arg.access_count for arg in accessed], dtype=np.float64)
@@ -258,59 +251,19 @@ class KernelLaunch:
             write_flags=np.concatenate(write_parts),
         )
 
-    def generate_accesses(
-        self,
-        max_records: Optional[int] = 4096,
-        seed: Optional[int] = None,
-    ) -> list[MemoryAccessRecord]:
-        """Generate a deterministic, representative sample of access records.
-
-        The total number of accesses a large kernel issues can reach hundreds
-        of millions; materialising them all would be pointless for analysis
-        quality and ruinous for simulation time.  Instead the simulator
-        produces up to ``max_records`` records whose *address coverage*
-        (which arguments, which regions within each argument) matches the
-        declared behaviour, while :attr:`total_memory_accesses` preserves the
-        true volume for overhead accounting.
-
-        Per-record view of :meth:`generate_access_columns` — same sample,
-        one :class:`MemoryAccessRecord` per access.
-        """
-        columns = self.generate_access_columns(max_records=max_records, seed=seed)
-        launch_id = self.launch_id
-        return [
-            MemoryAccessRecord(
-                address=address,
-                size=_DEFAULT_ACCESS_SIZE,
-                is_write=is_write,
-                thread_index=thread,
-                block_index=block,
-                kernel_launch_id=launch_id,
-            )
-            for address, thread, block, is_write in zip(
-                columns.addresses.tolist(),
-                columns.thread_indices.tolist(),
-                columns.block_indices.tolist(),
-                columns.write_flags.tolist(),
-            )
-        ]
-
     def generate_instruction_batch(
         self,
-        max_records: Optional[int] = 4096,
-        include_block_markers: bool = True,
+        max_records: int = 4096,
         allowed_kinds: Optional[frozenset[InstructionKind]] = None,
     ) -> InstructionBatchRecord:
         """Generate the launch's device records as one columnar batch.
 
-        Produces the same record stream as :meth:`generate_instructions`
-        (block-entry markers, sampled memory accesses, block-exit markers, in
-        that order), restricted to ``allowed_kinds`` when given — the
-        backend-side instrumentability filter — but as a single
-        :class:`InstructionBatchRecord` instead of one object per record.
+        The batch holds block-entry markers, the sampled memory accesses of
+        :meth:`generate_access_columns` and block-exit markers, in that
+        order, restricted to ``allowed_kinds`` when given — the backend-side
+        instrumentability filter.
         """
-        blocks = self.grid_config.total_blocks
-        marker_blocks = min(blocks, 64) if include_block_markers else 0
+        marker_blocks = min(self.grid_config.total_blocks, 64)
         want_entry = allowed_kinds is None or InstructionKind.BLOCK_ENTRY in allowed_kinds
         want_exit = allowed_kinds is None or InstructionKind.BLOCK_EXIT in allowed_kinds
         want_loads = allowed_kinds is None or InstructionKind.GLOBAL_LOAD in allowed_kinds
@@ -354,19 +307,6 @@ class KernelLaunch:
             post_kinds=(InstructionKind.BLOCK_EXIT,) * marker_blocks if want_exit else (),
             post_thread_indices=marker_threads if want_exit else (),
             post_block_indices=marker_range if want_exit else (),
-        )
-
-    def generate_instructions(
-        self,
-        max_records: Optional[int] = 4096,
-        include_block_markers: bool = True,
-    ) -> list[InstructionRecord]:
-        """Generate instruction records: block markers, barriers and memory ops."""
-        return list(
-            self.generate_instruction_batch(
-                max_records=max_records,
-                include_block_markers=include_block_markers,
-            ).iter_records()
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -66,8 +66,8 @@ def _normalize_categories(categories: CategoryFilter) -> Optional[frozenset[str]
                 ) from None
         out.add(member.value)
         # Slicing for a per-record fine-grained category keeps its batch
-        # form too: the same data may travel in either shape depending on
-        # how the recording backend was configured.
+        # form too: recordings hold batches, while a third-party trace may
+        # hold per-record events.
         for batch, base in BATCH_CATEGORY_BASES.items():
             if base is member:
                 out.add(batch.value)

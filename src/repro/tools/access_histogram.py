@@ -6,25 +6,17 @@ the sampled memory accesses (read/write mix, access widths, distinct 2 MB
 blocks touched, records per kernel launch) and tallies the non-memory
 instruction kinds the backend observed.
 
-It is also the reference implementation of a **batch-aware** tool: the
-``on_memory_access_batch`` / ``on_instruction_batch`` overrides consume the
-columnar arrays directly, so profiling a workload never materialises one
-event object per sampled access.  The per-record hooks implement the exact
-same accumulation, which the pipeline-equivalence tests rely on: unrolling a
-batch through them must produce a byte-identical report.
+It is also the reference implementation of a **batch-aware** tool: its only
+fine-grained hooks, ``on_memory_access_batch`` / ``on_instruction_batch``,
+consume the columnar arrays directly, so profiling a workload never
+materialises one event object per sampled access.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 
-from repro.core.events import (
-    EventCategory,
-    InstructionBatch,
-    InstructionEvent,
-    MemoryAccessBatch,
-    MemoryAccessEvent,
-)
+from repro.core.events import EventCategory, InstructionBatch, MemoryAccessBatch
 from repro.core.serialization import json_sanitize
 from repro.core.tool import PastaTool
 from repro.gpusim.uvm import UVM_PAGE_BYTES
@@ -54,23 +46,7 @@ class AccessHistogramTool(PastaTool):
         self._blocks: set[int] = set()
 
     # ------------------------------------------------------------------ #
-    # per-record hooks (used when batches are unrolled)
-    # ------------------------------------------------------------------ #
-    def on_memory_access(self, event: MemoryAccessEvent) -> None:
-        if event.is_write:
-            self.writes += 1
-        else:
-            self.reads += 1
-        self.accesses_by_size[event.size] += 1
-        self.records_by_launch[event.kernel_launch_id] += 1
-        self._blocks.add(event.address // self.block_bytes)
-
-    def on_instruction(self, event: InstructionEvent) -> None:
-        self.instructions_by_kind[event.kind.value] += 1
-        self.records_by_launch[event.kernel_launch_id] += 1
-
-    # ------------------------------------------------------------------ #
-    # batch-native hooks (columnar accumulation, no per-record events)
+    # batch hooks (columnar accumulation, no per-record events)
     # ------------------------------------------------------------------ #
     def on_memory_access_batch(self, event: MemoryAccessBatch) -> None:
         writes = sum(event.write_flags)

@@ -20,13 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.events import (
-    EventCategory,
-    KernelLaunchEvent,
-    KernelMemoryProfile,
-    MemoryAccessBatch,
-    MemoryAccessEvent,
-)
+from repro.core.events import EventCategory, KernelLaunchEvent, MemoryAccessBatch
 from repro.core.serialization import json_sanitize
 from repro.core.tool import PastaTool
 from repro.gpusim.uvm import UVM_PAGE_BYTES
@@ -63,9 +57,7 @@ class TimeSeriesHotnessTool(PastaTool):
     """
 
     tool_name = "hotness"
-    subscribed_categories = frozenset(
-        {EventCategory.KERNEL_LAUNCH, EventCategory.KERNEL_MEMORY_PROFILE}
-    )
+    subscribed_categories = frozenset({EventCategory.KERNEL_LAUNCH})
 
     def __init__(
         self,
@@ -121,11 +113,6 @@ class TimeSeriesHotnessTool(PastaTool):
         # so the launch they belong to has the *current* kernel index.
         return self._kernel_index // self.kernels_per_window
 
-    def on_memory_access(self, event: MemoryAccessEvent) -> None:
-        if not self.use_sampled_accesses:
-            return
-        self._windows[self._current_window()][event.address // self.block_bytes] += 1
-
     def on_memory_access_batch(self, event: MemoryAccessBatch) -> None:
         if not self.use_sampled_accesses:
             return
@@ -133,11 +120,6 @@ class TimeSeriesHotnessTool(PastaTool):
         block_bytes = self.block_bytes
         for address in event.addresses:
             counts[address // block_bytes] += 1
-
-    def on_kernel_memory_profile(self, event: KernelMemoryProfile) -> None:
-        # The profile is redundant with the launch-argument attribution above;
-        # it is accepted so the tool also works when only profiles are routed.
-        pass
 
     # ------------------------------------------------------------------ #
     # derived results

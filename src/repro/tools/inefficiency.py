@@ -18,10 +18,8 @@ from repro.core.callstack import CrossLayerStack, build_cross_layer_stack
 from repro.core.events import (
     EventCategory,
     InstructionBatch,
-    InstructionEvent,
     KernelLaunchEvent,
     MemoryAccessBatch,
-    MemoryAccessEvent,
     OperatorStartEvent,
 )
 from repro.core.knobs import KernelStats, KnobRegistry
@@ -108,12 +106,6 @@ class InefficiencyLocatorTool(PastaTool):
             pending = self._pending_records.pop(event.launch_id, 0)
             if pending:
                 self.sampled_records_by_kernel[event.kernel_name] += pending
-
-    def on_memory_access(self, event: MemoryAccessEvent) -> None:
-        self._pending_records[event.kernel_launch_id] += 1
-
-    def on_instruction(self, event: InstructionEvent) -> None:
-        self._pending_records[event.kernel_launch_id] += 1
 
     def on_memory_access_batch(self, event: MemoryAccessBatch) -> None:
         self._pending_records[event.kernel_launch_id] += len(event)

@@ -23,11 +23,7 @@ from typing import Callable, NamedTuple, Optional
 from repro.errors import VendorError
 from repro.gpusim.costmodel import InstrumentationBackend
 from repro.gpusim.device import Vendor
-from repro.gpusim.instruction import (
-    InstructionBatchRecord,
-    InstructionKind,
-    InstructionRecord,
-)
+from repro.gpusim.instruction import InstructionBatchRecord, InstructionKind
 from repro.gpusim.kernel import KernelLaunch
 from repro.gpusim.memory import MemoryObject
 from repro.gpusim.runtime import (
@@ -86,12 +82,6 @@ class ProfilingBackend(RuntimeCallbacks):
     instrumentable_kinds: frozenset[InstructionKind] = frozenset(InstructionKind)
     #: Maximum sampled device-side records forwarded per kernel launch.
     max_instruction_records_per_kernel: int = 2048
-    #: Accumulate a launch's sampled device records into one columnar
-    #: :class:`~repro.gpusim.instruction.InstructionBatchRecord` callback
-    #: (the collect-and-analyze fast path) instead of one callback per
-    #: record.  Set to False to fall back to the per-record protocol — the
-    #: two modes deliver identical data in identical order.
-    batch_device_records: bool = True
 
     def __init__(self) -> None:
         self._callbacks: tuple[VendorCallbackFn, ...] = ()
@@ -160,30 +150,17 @@ class ProfilingBackend(RuntimeCallbacks):
         return self.instrumentable_kinds
 
     def _emit_instructions(self, launch: KernelLaunch) -> None:
-        """Forward sampled device-side records for a launch.
-
-        In the default batched mode the launch's records travel as a single
-        columnar callback; in per-record mode each record is its own
-        callback.  Both modes carry the same records in the same order.
-        """
+        """Forward a launch's sampled device records as one columnar
+        :class:`~repro.gpusim.instruction.InstructionBatchRecord` callback
+        (the collect-and-analyze model of Figure 2b)."""
         if not self._instruction_tracing_enabled:
             return
-        kinds = self._device_record_kinds()
-        if self.batch_device_records:
-            batch = launch.generate_instruction_batch(
-                max_records=self.max_instruction_records_per_kernel,
-                allowed_kinds=kinds,
-            )
-            if len(batch):
-                self._emit(self._cbid_instruction_batch(batch), batch, launch.device_index)
-            return
-        records = launch.generate_instructions(
-            max_records=self.max_instruction_records_per_kernel
+        batch = launch.generate_instruction_batch(
+            max_records=self.max_instruction_records_per_kernel,
+            allowed_kinds=self._device_record_kinds(),
         )
-        for record in records:
-            if record.kind not in kinds:
-                continue
-            self._emit(self._cbid_instruction(record), record, launch.device_index)
+        if len(batch):
+            self._emit(self._cbid_instruction_batch(batch), batch, launch.device_index)
 
     # ------------------------------------------------------------------ #
     # vendor-specific callback ids (overridden by subclasses)
@@ -207,9 +184,6 @@ class ProfilingBackend(RuntimeCallbacks):
         raise NotImplementedError
 
     def _cbid_synchronize(self, record: SyncRecord) -> str:
-        raise NotImplementedError
-
-    def _cbid_instruction(self, record: InstructionRecord) -> str:
         raise NotImplementedError
 
     def _cbid_instruction_batch(self, batch: InstructionBatchRecord) -> str:

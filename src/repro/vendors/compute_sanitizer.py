@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from repro.gpusim.costmodel import InstrumentationBackend
 from repro.gpusim.device import Vendor
-from repro.gpusim.instruction import InstructionKind, InstructionRecord
+from repro.gpusim.instruction import InstructionKind
 from repro.gpusim.kernel import KernelLaunch
 from repro.gpusim.memory import MemoryObject
 from repro.gpusim.runtime import MemcpyRecord, MemsetRecord, SyncRecord
@@ -98,13 +98,6 @@ class ComputeSanitizerBackend(ProfilingBackend):
 
     def _cbid_synchronize(self, record: SyncRecord) -> str:
         return "SANITIZER_CBID_SYNCHRONIZE"
-
-    def _cbid_instruction(self, record: InstructionRecord) -> str:
-        if record.kind in (InstructionKind.BARRIER, InstructionKind.CLUSTER_BARRIER):
-            return "SANITIZER_CBID_BARRIER"
-        if record.kind in (InstructionKind.BLOCK_ENTRY, InstructionKind.BLOCK_EXIT):
-            return "SANITIZER_CBID_BLOCK_BOUNDARY"
-        return "SANITIZER_CBID_MEMORY_ACCESS"
 
     def _cbid_instruction_batch(self, batch) -> str:
         return "SANITIZER_CBID_DEVICE_RECORD_BATCH"

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from repro.gpusim.costmodel import InstrumentationBackend
 from repro.gpusim.device import Vendor
-from repro.gpusim.instruction import InstructionKind, InstructionRecord
+from repro.gpusim.instruction import InstructionKind
 from repro.gpusim.kernel import KernelLaunch
 from repro.gpusim.memory import MemoryObject
 from repro.gpusim.runtime import AcceleratorRuntime, MemcpyRecord, MemsetRecord, SyncRecord
@@ -88,9 +88,6 @@ class NvbitBackend(ProfilingBackend):
 
     def _cbid_synchronize(self, record: SyncRecord) -> str:
         return "NVBIT_CUDA_EVENT_cuCtxSynchronize"
-
-    def _cbid_instruction(self, record: InstructionRecord) -> str:
-        return f"NVBIT_INSTR_{record.kind.name}"
 
     def _cbid_instruction_batch(self, batch) -> str:
         return "NVBIT_INSTR_BATCH"

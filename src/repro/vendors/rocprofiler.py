@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from repro.gpusim.costmodel import InstrumentationBackend
 from repro.gpusim.device import Vendor
-from repro.gpusim.instruction import InstructionKind, InstructionRecord
+from repro.gpusim.instruction import InstructionKind
 from repro.gpusim.kernel import KernelLaunch
 from repro.gpusim.memory import MemoryObject
 from repro.gpusim.runtime import MemcpyRecord, MemsetRecord, SyncRecord
@@ -82,9 +82,6 @@ class RocprofilerBackend(ProfilingBackend):
 
     def _cbid_synchronize(self, record: SyncRecord) -> str:
         return "ROCPROFILER_HIP_API_ID_hipDeviceSynchronize"
-
-    def _cbid_instruction(self, record: InstructionRecord) -> str:
-        return f"ROCPROFILER_DEVICE_{record.kind.name}"
 
     def _cbid_instruction_batch(self, batch) -> str:
         return "ROCPROFILER_DEVICE_RECORD_BATCH"

@@ -10,16 +10,18 @@ from repro.core.callstack import build_cross_layer_stack, synthesize_cpp_frames
 from repro.core.events import KernelLaunchEvent
 from repro.core.knobs import KernelStats, KnobRegistry
 from repro.core.overhead import OverheadAccountant
+from repro.core.serialization import stable_json_dumps
 from repro.core.session import PROFILER_RESERVED_BYTES, PastaSession
-from repro import pasta
+from repro import api, pasta
 from repro.dlframework.context import FrameworkContext
 from repro.dlframework.engine import ExecutionEngine
 from repro.dlframework.models import create_model
 from repro.gpusim.costmodel import InstrumentationBackend
-from repro.gpusim.device import A100, RTX3060
+from repro.gpusim.device import A100, RTX3060, MiB
+from repro.gpusim.kernel import GridConfig, KernelArgument
 from repro.gpusim.runtime import create_runtime
 from repro.gpusim.trace import AnalysisModel
-from repro.tools import KernelFrequencyTool, MemoryCharacteristicsTool
+from repro.tools import AccessHistogramTool, KernelFrequencyTool, MemoryCharacteristicsTool
 from repro.vendors import ComputeSanitizerBackend, NvbitBackend
 
 
@@ -123,6 +125,39 @@ class TestAnnotations:
             engine.prepare(model)
             engine.run_inference(model, batch_size=2)
         assert freq.total_launches == 10
+
+
+class TestRangeFiltersGateDeviceRecords:
+    """A launch's device records share its range decision, live and replayed."""
+
+    def test_grid_window_live_and_replay(self, tmp_path):
+        trace = tmp_path / "window.pastatrace"
+        live = api.run("alexnet", device="a100", batch_size=2, fine_grained=True,
+                       tools=["access_histogram", "kernel_frequency"],
+                       knobs={"start_grid_id": 0, "end_grid_id": 1}, record_to=trace)
+        reports = live.reports()
+        assert reports["kernel_frequency"]["total_launches"] == 2
+        assert reports["access_histogram"]["instrumented_launches"] == 2
+        replayed = api.replay(trace, live.spec)
+        assert stable_json_dumps(replayed.reports()) == stable_json_dumps(reports)
+
+    def test_annotation_region(self, a100_runtime):
+        histogram, freq = AccessHistogramTool(), KernelFrequencyTool()
+        session = PastaSession(a100_runtime, tools=[histogram, freq])
+        obj = a100_runtime.malloc(1 * MiB)
+        args = [KernelArgument(address=obj.address, size=obj.size, accesses_per_byte=0.01)]
+        grid = GridConfig.for_elements(256)
+        with session:
+            a100_runtime.launch_kernel("before", grid, arguments=args)
+            pasta.start("roi")
+            a100_runtime.launch_kernel("inside", grid, arguments=args)
+            pasta.stop("roi")
+            a100_runtime.launch_kernel("after", grid, arguments=args)
+        assert freq.total_launches == 2
+        assert histogram.report()["instrumented_launches"] == 2
+        # The rejected launch plus its three batches (entry markers,
+        # accesses, exit markers).
+        assert session.processor.events_filtered == 4
 
 
 class TestKnobsAndCallstack:

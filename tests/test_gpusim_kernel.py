@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import KernelError
+from repro.gpusim.instruction import InstructionKind
 from repro.gpusim.kernel import (
     Dim3,
     GridConfig,
@@ -96,8 +97,9 @@ class TestTraceGeneration:
     def test_accesses_respect_budget(self):
         args = [KernelArgument(address=0x1000, size=1 << 20, accesses_per_byte=1.0)]
         launch = make_launch(args)
-        records = launch.generate_accesses(max_records=100)
-        assert len(records) == 100
+        columns = launch.generate_access_columns(max_records=100)
+        assert len(columns.addresses) == 100
+        assert len(launch.generate_instruction_batch(max_records=100).addresses) == 100
 
     def test_accesses_fall_inside_arguments(self):
         args = [
@@ -105,43 +107,51 @@ class TestTraceGeneration:
             KernelArgument(address=0x200000, size=4096, accesses_per_byte=1.0),
         ]
         launch = make_launch(args)
-        for record in launch.generate_accesses(max_records=500):
-            inside = any(a.address <= record.address < a.address + a.size for a in args)
+        addresses = launch.generate_access_columns(max_records=500).addresses.tolist()
+        assert addresses
+        for address in addresses:
+            inside = any(a.address <= address < a.address + a.size for a in args)
             assert inside
 
     def test_trace_is_deterministic(self):
         args = [KernelArgument(address=0x1000, size=65536, accesses_per_byte=0.5)]
         launch = make_launch(args)
-        first = launch.generate_accesses(max_records=64)
-        second = launch.generate_accesses(max_records=64)
-        assert first == second
+        first = launch.generate_access_columns(max_records=64)
+        second = launch.generate_access_columns(max_records=64)
+        for a, b in zip(first, second):
+            assert a.tolist() == b.tolist()
+        assert (launch.generate_instruction_batch(max_records=64)
+                == launch.generate_instruction_batch(max_records=64))
 
     def test_no_accesses_for_empty_arguments(self):
         launch = make_launch([])
-        assert launch.generate_accesses() == []
+        assert len(launch.generate_access_columns().addresses) == 0
+        assert launch.generate_instruction_batch().access_count == 0
 
     def test_write_flags_follow_argument_direction(self):
         read_only = make_launch(
             [KernelArgument(address=0x1000, size=4096, is_read=True, is_written=False,
                             accesses_per_byte=1.0)]
         )
-        assert all(not r.is_write for r in read_only.generate_accesses(max_records=64))
+        flags = read_only.generate_access_columns(max_records=64).write_flags.tolist()
+        assert flags and not any(flags)
         write_only = make_launch(
             [KernelArgument(address=0x1000, size=4096, is_read=False, is_written=True,
                             accesses_per_byte=1.0)]
         )
-        assert all(r.is_write for r in write_only.generate_accesses(max_records=64))
+        flags = write_only.generate_access_columns(max_records=64).write_flags.tolist()
+        assert flags and all(flags)
 
     def test_instruction_stream_contains_block_markers_and_accesses(self):
         launch = make_launch(
             [KernelArgument(address=0x1000, size=4096, accesses_per_byte=1.0)],
             grid=GridConfig(grid=Dim3(2), block=Dim3(64)),
         )
-        records = launch.generate_instructions(max_records=32)
-        kinds = {r.kind.value for r in records}
-        assert "block_entry" in kinds
-        assert "block_exit" in kinds
-        assert "global_load" in kinds or "global_store" in kinds
+        batch = launch.generate_instruction_batch(max_records=32)
+        assert batch.pre_kinds == (InstructionKind.BLOCK_ENTRY,) * 2
+        assert batch.post_kinds == (InstructionKind.BLOCK_EXIT,) * 2
+        assert batch.access_count > 0
+        assert len(batch) == 4 + batch.access_count
 
 
 class TestDurationEstimate:

@@ -1,13 +1,12 @@
-"""Equivalence and stress tests for the fast-path event pipeline (PR 3).
+"""Equivalence and stress tests for the fast-path event pipeline.
 
-Three properties guard the batched fine-grained pipeline:
+Two properties guard the batched fine-grained pipeline:
 
-* **Batched == unrolled dispatch**: for every bundled tool, replaying the
-  same fine-grained event stream through the tool's native batch hooks and
-  through a forced per-record unroll produces byte-identical reports.
-* **Batched == per-record protocol**: the vendor backends deliver the same
-  records in the same order whichever delivery mode is configured, so whole
-  sessions agree end to end.
+* **Batched == per-record stream**: for every bundled tool, replaying a
+  recorded fine-grained event stream as recorded (columnar batches) and with
+  every batch unrolled into per-record events produces byte-identical
+  reports.  The processor turns each lone per-record event into a length-1
+  batch, so tools see only batches either way.
 * **Allocator invariants**: the size-indexed, linked-list allocator survives
   alloc/free churn with correct coalescing and the same peak statistics as
   a straightforward reference accounting.
@@ -35,53 +34,29 @@ from repro.gpusim.device import A100, MiB
 from repro.gpusim.instruction import InstructionKind
 from repro.gpusim.runtime import create_runtime
 from repro.replay import TraceReader, replay_trace
-from repro.vendors.base import ProfilingBackend
+from repro.tools import InefficiencyLocatorTool, TimeSeriesHotnessTool
 from repro import api
 
-#: Bundled tool instances exercising their fine-grained/batch paths where
-#: the tool has one (instances with the sampled modes enabled), plus the
-#: default configurations.
-def _equivalence_toolset() -> list[PastaTool]:
-    from repro.tools import InefficiencyLocatorTool, TimeSeriesHotnessTool
-
-    tools = [create_tool(name) for name in registered_tools()]
-    tools.append(
-        _renamed(TimeSeriesHotnessTool(use_sampled_accesses=True), "hotness_sampled")
-    )
-    tools.append(
-        _renamed(InefficiencyLocatorTool(track_device_records=True),
-                 "inefficiency_sampled")
-    )
-    return tools
+#: Bundled tools in their sampled (fine-grained) modes, beside the default
+#: configurations every registered name creates.
+_SAMPLED_TOOLS = {
+    "hotness_sampled": lambda: TimeSeriesHotnessTool(use_sampled_accesses=True),
+    "inefficiency_sampled": lambda: InefficiencyLocatorTool(track_device_records=True),
+}
 
 
-def _renamed(tool: PastaTool, name: str) -> PastaTool:
+def _make_tool(name: str) -> PastaTool:
+    if name not in _SAMPLED_TOOLS:
+        return create_tool(name)
+    tool = _SAMPLED_TOOLS[name]()
     tool.tool_name = name
     return tool
 
 
-def _force_unrolled(tool: PastaTool) -> PastaTool:
-    """Clone a tool with the base-class (unrolling) batch hooks restored."""
-    cls = type(tool)
-    unrolled_cls = type(
-        f"Unrolled{cls.__name__}",
-        (cls,),
-        {
-            "on_memory_access_batch": PastaTool.on_memory_access_batch,
-            "on_instruction_batch": PastaTool.on_instruction_batch,
-        },
-    )
-    clone = unrolled_cls.__new__(unrolled_cls)
-    clone.__dict__.update(
-        {k: v for k, v in tool.__dict__.items() if k != "_handlers"}
-    )
-    clone.rebind_handlers()
-    return clone
-
-
 @pytest.fixture(scope="module")
 def fine_grained_events(tmp_path_factory):
-    """One fine-grained recording, decoded once for every equivalence case."""
+    """One fine-grained recording, decoded once for every equivalence case,
+    plus the same stream with every batch unrolled into per-record events."""
     trace = tmp_path_factory.mktemp("pipeline") / "fine.pastatrace"
     api.run("alexnet", device="a100", tools=(), fine_grained=True,
                  batch_size=2, record_to=trace)
@@ -89,26 +64,30 @@ def fine_grained_events(tmp_path_factory):
     events = list(reader.events())
     assert any(isinstance(e, MemoryAccessBatch) for e in events)
     assert any(isinstance(e, InstructionBatch) for e in events)
-    return trace, events
+    unrolled: list = []
+    for event in events:
+        if isinstance(event, (MemoryAccessBatch, InstructionBatch)):
+            unrolled.extend(event.unroll())
+        else:
+            unrolled.append(event)
+    return trace, events, unrolled
 
 
 class TestBatchedUnrolledEquivalence:
-    @pytest.mark.parametrize(
-        "tool", _equivalence_toolset(), ids=lambda t: t.tool_name
-    )
-    def test_reports_identical(self, fine_grained_events, tool):
-        trace, events = fine_grained_events
-        unrolled = _force_unrolled(tool)
-        batched_result = replay_trace(trace, tools=[tool], events=events)
-        unrolled_result = replay_trace(trace, tools=[unrolled], events=events)
+    @pytest.mark.parametrize("name", [*registered_tools(), *_SAMPLED_TOOLS])
+    def test_reports_identical(self, fine_grained_events, name):
+        trace, events, unrolled = fine_grained_events
+        batched_tool, per_record_tool = _make_tool(name), _make_tool(name)
+        batched_result = replay_trace(trace, tools=[batched_tool], events=events)
+        per_record_result = replay_trace(trace, tools=[per_record_tool], events=unrolled)
         batched_report = stable_json_dumps(batched_result.reports())
-        unrolled_report = stable_json_dumps(unrolled_result.reports())
-        assert batched_report == unrolled_report
+        per_record_report = stable_json_dumps(per_record_result.reports())
+        assert batched_report == per_record_report
         # Guard against vacuous equality: every tool saw events, and the
         # fine-grained subscribers saw the fine-grained stream.
-        assert tool.events_received > 0
-        if tool.wants(EventCategory.MEMORY_ACCESS_BATCH):
-            assert tool.events_received == unrolled.events_received > 100
+        assert batched_tool.events_received > 0
+        if batched_tool.wants(EventCategory.MEMORY_ACCESS_BATCH):
+            assert batched_tool.events_received == per_record_tool.events_received > 100
 
     def test_unroll_fallback_reaches_per_record_hooks(self):
         seen: list[MemoryAccessEvent] = []
@@ -154,44 +133,6 @@ class TestBatchedUnrolledEquivalence:
         )
         BarrierCounter().handle_event(batch)
         assert kinds == [InstructionKind.BLOCK_ENTRY, InstructionKind.BLOCK_EXIT]
-
-
-class TestSessionParityAcrossDeliveryModes:
-    def test_whole_session_reports_match(self, monkeypatch, tmp_path):
-        """Record once batched, once per-record: replayed reports agree."""
-        tools = lambda: [create_tool("access_histogram"),  # noqa: E731
-                         create_tool("kernel_frequency")]
-        batched_trace = tmp_path / "batched.pastatrace"
-        api.run("alexnet", device="a100", tools=(), fine_grained=True,
-                     batch_size=2, record_to=batched_trace)
-        monkeypatch.setattr(ProfilingBackend, "batch_device_records", False)
-        record_trace = tmp_path / "records.pastatrace"
-        api.run("alexnet", device="a100", tools=(), fine_grained=True,
-                     batch_size=2, record_to=record_trace)
-        monkeypatch.undo()
-
-        batched = replay_trace(batched_trace, tools=tools(), measure_overhead=False)
-        unbatched = replay_trace(record_trace, tools=tools(), measure_overhead=False)
-        batched_reports = batched.reports()
-        unbatched_reports = unbatched.reports()
-        # Sampled addresses are deterministic per launch id; launch ids differ
-        # between the two simulations, so compare the aggregate shape that is
-        # launch-id independent.
-        b = batched_reports["access_histogram"]
-        u = unbatched_reports["access_histogram"]
-        for key in ("sampled_accesses", "accesses_by_size", "instructions_by_kind",
-                    "instrumented_launches"):
-            assert b[key] == u[key]
-        assert batched_reports["kernel_frequency"] == unbatched_reports["kernel_frequency"]
-
-    def test_per_record_trace_category_counts(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(ProfilingBackend, "batch_device_records", False)
-        trace = tmp_path / "records.pastatrace"
-        api.run("alexnet", device="a100", tools=(), fine_grained=True,
-                     batch_size=2, record_to=trace)
-        counts = TraceReader(trace).footer.category_counts
-        assert counts.get("memory_access", 0) > 0
-        assert "memory_access_batch" not in counts
 
 
 class TestAllocatorStress:

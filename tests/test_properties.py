@@ -133,10 +133,10 @@ def test_kernel_launch_metric_invariants(arguments):
                           arguments=tuple(arguments))
     assert 0 <= launch.working_set_bytes <= launch.memory_footprint_bytes
     assert launch.total_memory_accesses >= 0
-    records = launch.generate_accesses(max_records=128)
-    assert len(records) <= 128
-    for record in records:
-        assert any(arg.address <= record.address < arg.address + max(arg.size, 1)
+    addresses = launch.generate_access_columns(max_records=128).addresses.tolist()
+    assert len(addresses) <= 128
+    for address in addresses:
+        assert any(arg.address <= address < arg.address + max(arg.size, 1)
                    for arg in launch.accessed_arguments())
 
 

@@ -6,12 +6,8 @@ import pytest
 
 from repro.errors import VendorError
 from repro.gpusim.device import A100, MI300X, MiB
-from repro.gpusim.instruction import (
-    InstructionBatchRecord,
-    InstructionKind,
-    InstructionRecord,
-)
-from repro.gpusim.kernel import GridConfig, KernelArgument, KernelLaunch
+from repro.gpusim.instruction import InstructionBatchRecord, InstructionKind
+from repro.gpusim.kernel import GridConfig, KernelArgument
 from repro.gpusim.runtime import MemcpyKind, create_runtime
 from repro.vendors import (
     ComputeSanitizerBackend,
@@ -99,45 +95,6 @@ class TestComputeSanitizer:
         # Sanitizer never reports arbitrary (OTHER) instruction kinds.
         assert InstructionKind.OTHER not in backend.instrumentable_kinds
 
-    def test_per_record_mode_emits_memory_access_callbacks(self):
-        backend = ComputeSanitizerBackend()
-        backend.batch_device_records = False
-        backend.sanitizer_patch_module("all")
-        received = collect_callbacks(backend, create_runtime(A100), fine_grained=True)
-        instr = [cb for cb in received if cb.cbid.startswith("SANITIZER_CBID_MEMORY_ACCESS")]
-        assert instr, "expected memory-access callbacks after patching"
-
-    def test_batched_and_per_record_modes_carry_identical_records(self):
-        """The batch is a packaging change only: same records, same order."""
-        launch = KernelLaunch(
-            kernel_name="k",
-            grid_config=GridConfig.for_elements(256),
-            arguments=[KernelArgument(address=0x7000_0000, size=1 * MiB,
-                                      is_read=True, is_written=True,
-                                      accesses_per_byte=0.001)],
-            launch_id=424242,
-        )
-
-        def device_records(batched: bool):
-            backend = ComputeSanitizerBackend()
-            backend.batch_device_records = batched
-            backend.sanitizer_patch_module("all")
-            received = []
-            backend.register_callback(received.append)
-            backend._emit_instructions(launch)
-            out = []
-            for cb in received:
-                if isinstance(cb.payload, InstructionBatchRecord):
-                    out.extend(cb.payload.iter_records())
-                elif isinstance(cb.payload, InstructionRecord):
-                    out.append(cb.payload)
-            return out
-
-        batched = device_records(True)
-        unbatched = device_records(False)
-        assert batched and unbatched
-        assert batched == unbatched
-
     def test_enable_domain_bookkeeping(self):
         backend = ComputeSanitizerBackend()
         backend.sanitizer_enable_domain("launch")
@@ -184,31 +141,13 @@ class TestNvbit:
             arguments=[KernelArgument(address=obj.address, size=obj.size,
                                       is_read=True, is_written=True, accesses_per_byte=0.01)],
         )
-        batches = [cb for cb in received if cb.cbid == "NVBIT_INSTR_BATCH"]
+        batches = [cb.payload for cb in received if cb.cbid == "NVBIT_INSTR_BATCH"]
         assert batches
-        records = [r for cb in batches for r in cb.payload.iter_records()]
-        assert records
-        assert all(r.kind is InstructionKind.GLOBAL_LOAD for r in records)
-
-    def test_instruction_filter_per_record_mode(self):
-        runtime = create_runtime(A100)
-        backend = NvbitBackend()
-        backend.batch_device_records = False
-        received = []
-        backend.register_callback(received.append)
-        backend.attach(runtime)
-        backend.enable_instruction_tracing(True)
-        backend.set_instruction_filter(frozenset({InstructionKind.GLOBAL_LOAD}))
-        obj = runtime.malloc(1 * MiB)
-        runtime.launch_kernel(
-            "k",
-            GridConfig.for_elements(64),
-            arguments=[KernelArgument(address=obj.address, size=obj.size,
-                                      is_read=True, is_written=True, accesses_per_byte=0.01)],
-        )
-        instr = [cb for cb in received if cb.cbid.startswith("NVBIT_INSTR_")]
-        assert instr
-        assert all(cb.cbid == "NVBIT_INSTR_GLOBAL_LOAD" for cb in instr)
+        # Only loads survive: no block markers, and every access is a read.
+        assert all(not b.pre_kinds and not b.post_kinds for b in batches)
+        write_flags = [flag for b in batches for flag in b.write_flags]
+        assert write_flags
+        assert not any(write_flags)
 
 
 class TestRocprofiler:
