@@ -12,7 +12,9 @@ Times the end-to-end profiled workloads the fast-path work targets —
   instrumented session per rank over a shared DeviceSet);
 
 plus ``--quick`` variants small enough for a CI smoke step — and writes the
-results to ``BENCH_pipeline.json``.
+results to ``BENCH_pipeline.json``.  Each entry holds the best wall time and
+the logical records processed (``records``, ``records_per_second``): a
+columnar batch counts its length, as in ``perfbench``.
 
 Usage::
 
@@ -37,6 +39,7 @@ from pathlib import Path
 import repro
 import repro.tools  # noqa: F401  (side effect: tool registration)
 from repro import api
+from repro.core.processor import PastaEventProcessor
 
 #: Tool set attached to every benchmark workload: the bundled coarse tools
 #: plus (on fine-grained runs) the batch-native access histogram.
@@ -90,10 +93,15 @@ QUICK_WORKLOADS: dict[str, tuple[dict, int]] = {
 }
 
 
+def logical_records(processor: PastaEventProcessor) -> int:
+    """Records one session's processor handled: a batch counts its length."""
+    return processor.events_processed - processor.batches_dispatched + processor.batch_records
+
+
 def run_one(name: str, kwargs: dict, repeats: int) -> dict[str, object]:
     """Benchmark one workload; returns its result entry."""
     best = float("inf")
-    events = 0
+    records = 0
     for _ in range(repeats):
         started = time.perf_counter()
         result = api.run(kwargs["model"], **{k: v for k, v in kwargs.items()
@@ -102,15 +110,15 @@ def run_one(name: str, kwargs: dict, repeats: int) -> dict[str, object]:
         best = min(best, elapsed)
         # Parallel profiles run one session per rank; sum their pipelines.
         sessions = getattr(result, "sessions", None) or [result.session]
-        events = sum(s.processor.events_processed for s in sessions)
+        records = sum(logical_records(s.processor) for s in sessions)
     entry = {
         "seconds": round(best, 4),
-        "events_processed": events,
-        "events_per_second": round(events / best) if best > 0 else 0,
+        "records": records,
+        "records_per_second": round(records / best) if best > 0 else 0,
         "repeats": repeats,
     }
-    print(f"  {name:>24}: {best:8.3f} s   ({events} events, "
-          f"{entry['events_per_second']} ev/s)")
+    print(f"  {name:>24}: {best:8.3f} s   ({records} records, "
+          f"{entry['records_per_second']} records/s)")
     return entry
 
 

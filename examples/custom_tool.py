@@ -11,21 +11,22 @@ Writing fine-grained tools
 --------------------------
 Fine-grained (device-side) data always arrives as **columnar batches**: one
 ``MemoryAccessBatch`` / ``InstructionBatch`` event per kernel launch, holding
-the launch's sampled records as parallel arrays.  A tool subscribes to
+the launch's sampled records as parallel numpy arrays (int64 addresses,
+sizes and indices; bool ``write_flags``).  A tool subscribes to
 ``EventCategory.MEMORY_ACCESS``, sets ``requires_fine_grained = True`` and
 overrides **one** hook, not both:
 
 * ``on_memory_access`` (simple): the base class unrolls each batch into this
-  per-record hook in delivery order::
+  per-record hook in delivery order, with Python scalars for fields::
 
       def on_memory_access(self, event):
           self.writes += event.is_write
 
-* ``on_memory_access_batch`` (fast): consume the arrays directly, with no
+* ``on_memory_access_batch`` (fast): reduce the arrays with numpy, with no
   per-record events::
 
       def on_memory_access_batch(self, batch):
-          self.writes += sum(batch.write_flags)
+          self.writes += int(np.count_nonzero(batch.write_flags))
 
 Either way the tool sees every record exactly once, whatever shape a trace
 holds (see ``repro/tools/access_histogram.py`` for a bundled batch tool).

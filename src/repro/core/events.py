@@ -17,10 +17,15 @@ batch events (:class:`MemoryAccessBatch` / :class:`InstructionBatch`) that
 carry one kernel launch's sampled records as parallel arrays — one event per
 launch instead of one per access — mirroring the paper's collect-and-analyze
 principle (Figure 2b): aggregate on the producer side, move compact
-containers, never pay a per-record delivery cost.  The per-record events
+containers, never pay a per-record delivery cost.  The numeric columns are
+1-D numpy arrays (int64; ``write_flags`` is bool) whoever built the batch:
+``__post_init__`` coerces each one, so tools reduce them with array
+operations.  ``InstructionBatch.kinds`` is a tuple of
+:class:`~repro.gpusim.instruction.InstructionKind`.  The per-record events
 (:class:`MemoryAccessEvent` / :class:`InstructionEvent`) remain the unit a
-batch unrolls into for per-record tools; a lone per-record event, e.g. from a
-third-party trace, enters the pipeline as a length-1 batch via ``as_batch()``.
+batch unrolls into for per-record tools, and ``unroll()`` gives their fields
+as Python scalars; a lone per-record event, e.g. from a third-party trace,
+enters the pipeline as a length-1 batch via ``as_batch()``.
 
 All event classes use ``slots=True`` (compact instances, faster attribute
 access) and ``eq=False`` (identity comparison; events are never compared by
@@ -34,7 +39,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Optional
+from typing import ClassVar, Iterator, Mapping, Optional
+
+import numpy as np
 
 from repro.gpusim.instruction import InstructionKind
 
@@ -111,6 +118,16 @@ BATCH_CATEGORY_BASES = {
     EventCategory.MEMORY_ACCESS_BATCH: EventCategory.MEMORY_ACCESS,
     EventCategory.INSTRUCTION_BATCH: EventCategory.INSTRUCTION,
 }
+
+
+def _no_records() -> np.ndarray:
+    return np.empty(0, dtype=np.int64)
+
+
+def _coerce_columns(batch: PastaEvent, dtypes: Mapping[str, type]) -> None:
+    """Make every batch column a 1-D numpy array of its declared dtype."""
+    for name, dtype in dtypes.items():
+        setattr(batch, name, np.asarray(getattr(batch, name), dtype))
 
 
 class _LazyEventId:
@@ -330,27 +347,40 @@ class MemoryAccessBatch(PastaEvent):
 
     The columnar form of :class:`MemoryAccessEvent`: element ``i`` of every
     array describes one access, in the order the kernel issued them, so
-    unrolling a batch yields the accesses as a per-record stream.
+    unrolling a batch yields the accesses as a per-record stream.  Each
+    column is a 1-D numpy array of the dtype in :attr:`COLUMN_DTYPES`
+    (any sequence passed in is coerced).
     """
 
+    #: Column name -> numpy dtype; traces store each column as a JSON list.
+    COLUMN_DTYPES: ClassVar[Mapping[str, type]] = {
+        "addresses": np.int64,
+        "sizes": np.int64,
+        "write_flags": np.bool_,
+        "thread_indices": np.int64,
+        "block_indices": np.int64,
+    }
+
     kernel_launch_id: int = 0
-    addresses: tuple[int, ...] = ()
-    sizes: tuple[int, ...] = ()
-    write_flags: tuple[bool, ...] = ()
-    thread_indices: tuple[int, ...] = ()
-    block_indices: tuple[int, ...] = ()
+    addresses: np.ndarray = field(default_factory=_no_records)
+    sizes: np.ndarray = field(default_factory=_no_records)
+    write_flags: np.ndarray = field(default_factory=_no_records)
+    thread_indices: np.ndarray = field(default_factory=_no_records)
+    block_indices: np.ndarray = field(default_factory=_no_records)
 
     def __post_init__(self) -> None:
         self.category = EventCategory.MEMORY_ACCESS_BATCH
+        _coerce_columns(self, self.COLUMN_DTYPES)
 
     def __len__(self) -> int:
         return len(self.addresses)
 
     def unroll(self) -> Iterator[MemoryAccessEvent]:
-        """Per-record view: yields the equivalent :class:`MemoryAccessEvent`\\ s."""
+        """Per-record view: yields the equivalent :class:`MemoryAccessEvent`\\ s,
+        with Python scalars for fields."""
         for address, size, is_write, thread, block in zip(
-            self.addresses, self.sizes, self.write_flags,
-            self.thread_indices, self.block_indices,
+            self.addresses.tolist(), self.sizes.tolist(), self.write_flags.tolist(),
+            self.thread_indices.tolist(), self.block_indices.tolist(),
         ):
             yield MemoryAccessEvent(
                 address=address,
@@ -371,23 +401,34 @@ class InstructionBatch(PastaEvent):
 
     The columnar form of :class:`InstructionEvent` (barriers, block markers,
     device calls, ...), with the same ordering guarantee as
-    :class:`MemoryAccessBatch`.
+    :class:`MemoryAccessBatch`.  ``kinds`` is a tuple; the index columns are
+    int64 numpy arrays.
     """
+
+    #: Column name -> numpy dtype; traces store each column as a JSON list.
+    COLUMN_DTYPES: ClassVar[Mapping[str, type]] = {
+        "thread_indices": np.int64,
+        "block_indices": np.int64,
+    }
 
     kernel_launch_id: int = 0
     kinds: tuple[InstructionKind, ...] = ()
-    thread_indices: tuple[int, ...] = ()
-    block_indices: tuple[int, ...] = ()
+    thread_indices: np.ndarray = field(default_factory=_no_records)
+    block_indices: np.ndarray = field(default_factory=_no_records)
 
     def __post_init__(self) -> None:
         self.category = EventCategory.INSTRUCTION_BATCH
+        _coerce_columns(self, self.COLUMN_DTYPES)
 
     def __len__(self) -> int:
         return len(self.kinds)
 
     def unroll(self) -> Iterator[InstructionEvent]:
-        """Per-record view: yields the equivalent :class:`InstructionEvent`\\ s."""
-        for kind, thread, block in zip(self.kinds, self.thread_indices, self.block_indices):
+        """Per-record view: yields the equivalent :class:`InstructionEvent`\\ s,
+        with Python scalars for fields."""
+        for kind, thread, block in zip(
+            self.kinds, self.thread_indices.tolist(), self.block_indices.tolist()
+        ):
             yield InstructionEvent(
                 kind=kind,
                 kernel_launch_id=self.kernel_launch_id,

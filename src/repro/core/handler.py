@@ -18,6 +18,7 @@ processor and tools are untouched (the modularity claim of Section III-A).
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Optional
 
 from repro.errors import HandlerError
@@ -59,7 +60,12 @@ class PastaEventHandler:
     def __init__(self, sink: Optional[EventSink] = None) -> None:
         self._sink: Optional[EventSink] = sink
         self._backends: list[ProfilingBackend] = []
-        self._framework_registries: list[FrameworkCallbackRegistry] = []
+        #: Registries already attached, held weakly: each one holds callbacks
+        #: that close over this handler, so a strong reference back would
+        #: make a cycle that outlives the run.
+        self._framework_registries: "weakref.WeakSet[FrameworkCallbackRegistry]" = (
+            weakref.WeakSet()
+        )
         #: Per-device running kernel-launch index (the "grid id" of the paper's
         #: START_GRID_ID/END_GRID_ID range filter).
         self._grid_index: dict[int, int] = {}
@@ -125,7 +131,7 @@ class PastaEventHandler:
             return
         registry.add_operator_callback(lambda event: self._on_operator_event(event))
         registry.add_memory_callback(lambda record: self._on_memory_usage(record, device_index))
-        self._framework_registries.append(registry)
+        self._framework_registries.add(registry)
 
     @property
     def attached_backends(self) -> list[ProfilingBackend]:
@@ -240,6 +246,7 @@ class PastaEventHandler:
         The batch's three sections are emitted in stream order (pre-access
         instructions, memory accesses, post-access instructions), so tools
         that unroll see the records in the order the kernel issued them.
+        The numpy columns pass through as they are, without a copy.
         """
         if batch.pre_kinds:
             self.emit(InstructionBatch(
@@ -250,7 +257,7 @@ class PastaEventHandler:
                 device_index=device,
                 source=source,
             ))
-        if batch.addresses:
+        if len(batch.addresses):
             self.emit(MemoryAccessBatch(
                 kernel_launch_id=batch.kernel_launch_id,
                 addresses=batch.addresses,

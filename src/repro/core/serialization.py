@@ -16,6 +16,8 @@ import json
 from enum import Enum
 from typing import Any, Mapping
 
+import numpy as np
+
 
 def _sanitize_key(key: object) -> str:
     """Coerce a dict key to a plain string."""
@@ -43,6 +45,7 @@ def json_sanitize(value: Any) -> Any:
     * tuples, lists, sets and frozensets become lists (sets are sorted when
       their sanitized elements are orderable);
     * dataclass instances become dicts of their fields;
+    * numpy arrays become (nested) lists of sanitized Python scalars;
     * numpy-style scalars (anything with a zero-argument ``item()``) are
       unwrapped;
     * anything else falls back to ``str(value)``.
@@ -73,6 +76,8 @@ def json_sanitize(value: Any) -> Any:
         return [json_sanitize(v) for v in value]
     if isinstance(value, (bytes, bytearray)):
         return bytes(value).hex()
+    if isinstance(value, np.ndarray):
+        return json_sanitize(value.tolist())
     item = getattr(value, "item", None)
     if callable(item):
         try:

@@ -25,13 +25,15 @@ from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Union
 
 from repro.errors import PastaError
 from repro.core.annotations import RangeFilter, _set_active_session
-from repro.core.handler import PastaEventHandler
+from repro.core.events import PastaEvent
+from repro.core.handler import EventSink, PastaEventHandler
 from repro.core.overhead import OverheadAccountant
-from repro.core.processor import PastaEventProcessor
+from repro.core.processor import AddressResolver, PastaEventProcessor
 from repro.core.tool import PastaTool
 from repro.dlframework.context import FrameworkContext
 from repro.gpusim.costmodel import CostModelConfig
 from repro.gpusim.device import MiB
+from repro.gpusim.memory import DeviceMemoryAllocator
 from repro.gpusim.runtime import AcceleratorRuntime
 from repro.gpusim.trace import AnalysisModel
 from repro.core.registry import REGISTRY
@@ -108,6 +110,33 @@ def collect_reports(
     return out
 
 
+# The session's callbacks close over the parts they use, never over the
+# session: a bound method of the session held by its own handler or
+# processor would make a reference cycle, and a finished run would then wait
+# for the cyclic garbage collector instead of being freed when dropped.
+def _allocator_resolver(allocator: DeviceMemoryAllocator) -> AddressResolver:
+    """Resolve an address to ``(object_id, size)`` through the device-memory allocator."""
+
+    def resolve(address: int) -> Optional[tuple[int, int]]:
+        obj = allocator.lookup(address, live_only=False)
+        if obj is None:
+            return None
+        return obj.object_id, obj.size
+
+    return resolve
+
+
+def _recording_sink(writer: "TraceWriter", processor: PastaEventProcessor) -> EventSink:
+    """Handler sink tap: persist each event, then submit it as usual."""
+
+    def record_and_submit(event: PastaEvent) -> None:
+        if not writer.closed:
+            writer.write(event)
+        processor.submit(event)
+
+    return record_and_submit
+
+
 def _make_backend(spec: Union[str, ProfilingBackend, None], runtime: AcceleratorRuntime) -> ProfilingBackend:
     if isinstance(spec, ProfilingBackend):
         return spec
@@ -147,7 +176,7 @@ class PastaSession:
                 config=cost_config,
             )
         self.processor = PastaEventProcessor(
-            address_resolver=self._resolve_address,
+            address_resolver=_allocator_resolver(runtime.allocator),
             range_filter=range_filter,
             enable_gpu_preprocessing=True,
             overhead_accountant=self.overhead_accountant,
@@ -176,7 +205,7 @@ class PastaSession:
             self._trace_writer = trace_writer
             self._owns_trace_writer = False
             self.trace_path = trace_writer.path
-            self.handler.set_sink(self._record_and_submit)
+            self.handler.set_sink(_recording_sink(trace_writer, self.processor))
         if record_to is not None:
             # Imported lazily: repro.replay builds on repro.core, not the
             # other way around, so the tap must not create an import cycle.
@@ -193,7 +222,7 @@ class PastaSession:
             )
             self._trace_writer = TraceWriter(record_to, header)
             self.trace_path = self._trace_writer.path
-            self.handler.set_sink(self._record_and_submit)
+            self.handler.set_sink(_recording_sink(self._trace_writer, self.processor))
 
     # ------------------------------------------------------------------ #
     # configuration
@@ -234,12 +263,6 @@ class PastaSession:
             return
         self.handler.attach_framework(ctx.callbacks, device_index=ctx.runtime.device.index)
         self._attached_contexts.append(ctx)
-
-    def _resolve_address(self, address: int) -> Optional[tuple[int, int]]:
-        obj = self.runtime.allocator.lookup(address, live_only=False)
-        if obj is None:
-            return None
-        return obj.object_id, obj.size
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -371,12 +394,6 @@ class PastaSession:
     def is_recording(self) -> bool:
         """True while events are being appended to the trace file."""
         return self._trace_writer is not None and not self._trace_writer.closed
-
-    def _record_and_submit(self, event) -> None:
-        """Handler sink tap: persist the event, then forward it as usual."""
-        if self._trace_writer is not None and not self._trace_writer.closed:
-            self._trace_writer.write(event)
-        self.processor.submit(event)
 
     def __enter__(self) -> "PastaSession":
         return self.start()

@@ -15,13 +15,20 @@ batch).  A tool overrides one hook per kind of record, not both:
 * the per-record ``on_memory_access`` / ``on_instruction`` hook — simple: the
   default ``on_memory_access_batch`` / ``on_instruction_batch``
   implementations unroll each batch into it in delivery order; or
-* the batch hook — fast: it processes the parallel arrays directly and skips
-  per-record event construction entirely.
+* the batch hook — fast: it reduces the parallel columns directly and skips
+  per-record event construction entirely.  The numeric columns are 1-D
+  numpy arrays (int64, or bool for ``write_flags``), so the hook can use
+  array operations; ``unroll()`` yields per-record events whose fields are
+  Python scalars.
+
+Hooks are looked up by name on every delivery, so a hook patched on the
+instance or the class takes effect at once, and a tool holds no reference
+to itself that would keep it alive past its last user.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.core.events import (
     BATCH_CATEGORY_BASES,
@@ -69,20 +76,6 @@ class PastaTool:
 
     def __init__(self) -> None:
         self.events_received = 0
-        self.rebind_handlers()
-
-    def rebind_handlers(self) -> None:
-        """(Re)build the category -> bound-hook table used by dispatch.
-
-        Called once at construction, which captures the hook methods visible
-        on the instance at that moment (subclass overrides included).  Call
-        again after patching a hook — on the instance *or* the class — for
-        dispatch to see the new implementation.
-        """
-        self._handlers: dict[EventCategory, Callable[[PastaEvent], None]] = {
-            category: getattr(self, method_name)
-            for category, method_name in _DISPATCH.items()
-        }
 
     # ------------------------------------------------------------------ #
     # dispatch entry point (called by the event processor)
@@ -112,14 +105,7 @@ class PastaTool:
             self.events_received += len(event)  # type: ignore[arg-type]
         else:
             self.events_received += 1
-        try:
-            handler = self._handlers.get(category)
-        except AttributeError:
-            # Subclass skipped super().__init__(); bind lazily.
-            self.rebind_handlers()
-            handler = self._handlers.get(category)
-        if handler is not None:
-            handler(event)
+        getattr(self, _DISPATCH[category])(event)
 
     # ------------------------------------------------------------------ #
     # lifecycle hooks
@@ -203,8 +189,7 @@ class PastaTool:
         """A user annotation boundary."""
 
 
-#: Category -> hook method name; bound per instance in rebind_handlers() so
-#: dispatch is one dict lookup plus a direct call (no getattr per event).
+#: Category -> hook method name, looked up on the tool at each delivery.
 _DISPATCH = {
     EventCategory.RUNTIME_API: "on_runtime_api",
     EventCategory.KERNEL_LAUNCH: "on_kernel_launch",

@@ -15,7 +15,8 @@ that declaration the launch can
   fine-grained tools (hotness maps, access-count maps, ...), as numpy
   columns (:meth:`KernelLaunch.generate_access_columns`) or as one columnar
   :class:`~repro.gpusim.instruction.InstructionBatchRecord` per launch
-  (:meth:`KernelLaunch.generate_instruction_batch`).
+  (:meth:`KernelLaunch.generate_instruction_batch`).  The columns stay
+  numpy arrays (int64, or bool for write flags) all the way to the tools.
 
 Trace generation is seeded from the launch id, so repeated runs of the same
 workload produce identical traces — a property the test suite relies on.
@@ -261,7 +262,9 @@ class KernelLaunch:
         The batch holds block-entry markers, the sampled memory accesses of
         :meth:`generate_access_columns` and block-exit markers, in that
         order, restricted to ``allowed_kinds`` when given — the backend-side
-        instrumentability filter.
+        instrumentability filter.  The access columns are those numpy arrays
+        themselves (masked when only loads or only stores are allowed); the
+        marker columns are int64 arrays too, and only the kinds are tuples.
         """
         marker_blocks = min(self.grid_config.total_blocks, 64)
         want_entry = allowed_kinds is None or InstructionKind.BLOCK_ENTRY in allowed_kinds
@@ -269,44 +272,30 @@ class KernelLaunch:
         want_loads = allowed_kinds is None or InstructionKind.GLOBAL_LOAD in allowed_kinds
         want_stores = allowed_kinds is None or InstructionKind.GLOBAL_STORE in allowed_kinds
 
-        addresses: tuple[int, ...] = ()
-        write_flags: tuple[bool, ...] = ()
-        thread_indices: tuple[int, ...] = ()
-        block_indices: tuple[int, ...] = ()
+        kept = _EMPTY_COLUMNS
         if want_loads or want_stores:
-            columns = self.generate_access_columns(max_records=max_records)
-            if len(columns.addresses):
-                if want_loads and want_stores:
-                    kept = columns
-                else:
-                    mask = columns.write_flags if want_stores else ~columns.write_flags
-                    kept = AccessColumns(
-                        addresses=columns.addresses[mask],
-                        thread_indices=columns.thread_indices[mask],
-                        block_indices=columns.block_indices[mask],
-                        write_flags=columns.write_flags[mask],
-                    )
-                addresses = tuple(kept.addresses.tolist())
-                write_flags = tuple(kept.write_flags.tolist())
-                thread_indices = tuple(kept.thread_indices.tolist())
-                block_indices = tuple(kept.block_indices.tolist())
+            kept = self.generate_access_columns(max_records=max_records)
+            if len(kept.addresses) and not (want_loads and want_stores):
+                mask = kept.write_flags if want_stores else ~kept.write_flags
+                kept = AccessColumns(*(column[mask] for column in kept))
 
-        marker_range = tuple(range(marker_blocks))
-        marker_threads = (0,) * marker_blocks
+        marker_range = np.arange(marker_blocks, dtype=np.int64)
+        marker_threads = np.zeros(marker_blocks, dtype=np.int64)
+        no_markers = np.empty(0, dtype=np.int64)
         return InstructionBatchRecord(
             kernel_launch_id=self.launch_id,
             device_index=self.device_index,
             pre_kinds=(InstructionKind.BLOCK_ENTRY,) * marker_blocks if want_entry else (),
-            pre_thread_indices=marker_threads if want_entry else (),
-            pre_block_indices=marker_range if want_entry else (),
-            addresses=addresses,
-            sizes=(_DEFAULT_ACCESS_SIZE,) * len(addresses),
-            write_flags=write_flags,
-            access_thread_indices=thread_indices,
-            access_block_indices=block_indices,
+            pre_thread_indices=marker_threads if want_entry else no_markers,
+            pre_block_indices=marker_range if want_entry else no_markers,
+            addresses=kept.addresses,
+            sizes=np.full(len(kept.addresses), _DEFAULT_ACCESS_SIZE, dtype=np.int64),
+            write_flags=kept.write_flags,
+            access_thread_indices=kept.thread_indices,
+            access_block_indices=kept.block_indices,
             post_kinds=(InstructionKind.BLOCK_EXIT,) * marker_blocks if want_exit else (),
-            post_thread_indices=marker_threads if want_exit else (),
-            post_block_indices=marker_range if want_exit else (),
+            post_thread_indices=marker_threads if want_exit else no_markers,
+            post_block_indices=marker_range if want_exit else no_markers,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

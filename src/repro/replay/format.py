@@ -30,10 +30,12 @@ codec derived from its resolved type hints: encoding routes through
 :func:`~repro.core.serialization.json_sanitize` (so codec output is always
 JSON-native and survives further sanitisation unchanged), and decoding
 rebuilds enums, nested dataclasses, tuples and integer-keyed maps from the
-hints.  Each codec carries a *schema fingerprint* — a digest of the event
-class's field names and types — recorded in the header and checked on read,
-so a trace written under a different event schema fails loudly instead of
-silently misdecoding.
+hints.  A batch event's numpy columns (its ``COLUMN_DTYPES``) are written as
+JSON lists and decoded by handing each list to the event's constructor,
+which coerces it back to an array in one call.  Each codec carries a *schema
+fingerprint* — a digest of the event class's field names and types —
+recorded in the header and checked on read, so a trace written under a
+different event schema fails loudly instead of silently misdecoding.
 """
 
 from __future__ import annotations
@@ -45,6 +47,8 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Mapping, Optional, Union, get_args, get_origin, get_type_hints
+
+import numpy as np
 
 import repro
 from repro.core import events as _events
@@ -88,14 +92,24 @@ _CODECS_BY_CLS: dict[type, EventCodec] = {}
 
 
 def _schema_fingerprint(cls: type) -> str:
-    """Fingerprint an event dataclass's field names and resolved types."""
+    """Fingerprint an event dataclass's field names and wire types.
+
+    A numpy batch column is written as a JSON list of ints or bools, so it
+    fingerprints as ``tuple[int, ...]`` or ``tuple[bool, ...]``, whatever
+    the in-memory array type.
+    """
     hints = get_type_hints(cls)
+    for name, dtype in getattr(cls, "COLUMN_DTYPES", {}).items():
+        hints[name] = tuple[bool, ...] if dtype is np.bool_ else tuple[int, ...]
     shape = [(f.name, str(hints.get(f.name, ""))) for f in dataclasses.fields(cls)]
     return hashlib.sha256(json.dumps(shape, sort_keys=True).encode("utf-8")).hexdigest()[:16]
 
 
 def _make_value_decoder(hint: Any):
     """Build a ``JSON-native value -> rich value`` function for one type hint."""
+    if hint is np.ndarray:
+        # A batch column: the event's constructor turns the list into an array.
+        return lambda v: v
     origin = get_origin(hint)
     if origin is Union:
         args = [a for a in get_args(hint) if a is not type(None)]
@@ -147,6 +161,8 @@ def _make_value_encoder(hint: Any):
     :func:`~repro.core.serialization.json_sanitize`; output is identical
     (``json_sanitize`` applied to it is the identity).
     """
+    if hint is np.ndarray:
+        return lambda v: v.tolist()
     origin = get_origin(hint)
     if origin is Union:
         args = [a for a in get_args(hint) if a is not type(None)]

@@ -8,13 +8,16 @@ instruction kinds the backend observed.
 
 It is also the reference implementation of a **batch-aware** tool: its only
 fine-grained hooks, ``on_memory_access_batch`` / ``on_instruction_batch``,
-consume the columnar arrays directly, so profiling a workload never
-materialises one event object per sampled access.
+reduce the columnar numpy arrays (int64 addresses and sizes, bool write
+flags) with array operations, so profiling a workload never materialises
+one event object, or one Python scalar, per sampled access.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+
+import numpy as np
 
 from repro.core.events import EventCategory, InstructionBatch, MemoryAccessBatch
 from repro.core.serialization import json_sanitize
@@ -49,21 +52,24 @@ class AccessHistogramTool(PastaTool):
     # batch hooks (columnar accumulation, no per-record events)
     # ------------------------------------------------------------------ #
     def on_memory_access_batch(self, event: MemoryAccessBatch) -> None:
-        writes = sum(event.write_flags)
+        records = len(event.addresses)
+        writes = int(np.count_nonzero(event.write_flags))
         self.writes += writes
-        self.reads += len(event.write_flags) - writes
-        sizes = self.accesses_by_size
-        for size in event.sizes:
-            sizes[size] += 1
-        self.records_by_launch[event.kernel_launch_id] += len(event.addresses)
-        block_bytes = self.block_bytes
-        self._blocks.update(address // block_bytes for address in event.addresses)
+        self.reads += records - writes
+        sizes, counts = np.unique(event.sizes, return_counts=True)
+        by_size = self.accesses_by_size
+        for size, count in zip(sizes.tolist(), counts.tolist()):
+            by_size[size] += count
+        self.records_by_launch[event.kernel_launch_id] += records
+        self._blocks.update(np.unique(event.addresses // self.block_bytes).tolist())
 
     def on_instruction_batch(self, event: InstructionBatch) -> None:
+        kinds = event.kinds
         by_kind = self.instructions_by_kind
-        for kind in event.kinds:
-            by_kind[kind.value] += 1
-        self.records_by_launch[event.kernel_launch_id] += len(event.kinds)
+        # One count per distinct kind: a batch is a few runs of one kind.
+        for kind in dict.fromkeys(kinds):
+            by_kind[kind.value] += kinds.count(kind)
+        self.records_by_launch[event.kernel_launch_id] += len(kinds)
 
     # ------------------------------------------------------------------ #
     # derived results

@@ -15,7 +15,7 @@ matrix it classifies blocks as
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +53,8 @@ class TimeSeriesHotnessTool(PastaTool):
     subscribes to the fine-grained access stream and attributes the *sampled*
     accesses to blocks — exact per-address attribution at the cost of
     requiring fine-grained instrumentation.  The sampled path is batch-aware:
-    columnar access batches are consumed directly.
+    each columnar access batch is reduced to per-block counts with
+    ``np.unique``.
     """
 
     tool_name = "hotness"
@@ -117,9 +118,9 @@ class TimeSeriesHotnessTool(PastaTool):
         if not self.use_sampled_accesses:
             return
         counts = self._windows[self._current_window()]
-        block_bytes = self.block_bytes
-        for address in event.addresses:
-            counts[address // block_bytes] += 1
+        blocks, hits = np.unique(event.addresses // self.block_bytes, return_counts=True)
+        for block, hit in zip(blocks.tolist(), hits.tolist()):
+            counts[block] += hit
 
     # ------------------------------------------------------------------ #
     # derived results
@@ -147,34 +148,48 @@ class TimeSeriesHotnessTool(PastaTool):
                 matrix[index[block], window_id] = count
         return blocks, matrix
 
+    def _block_kinds(
+        self, hot_ratio: float, bursty_ratio: float
+    ) -> tuple[list[int], np.ndarray, np.ndarray, list[str]]:
+        """Classify every block in one pass over the hotness matrix.
+
+        Returns ``(block_ids, total_accesses, active_windows, kinds)``, the
+        per-block columns in ``block_ids`` order.
+        """
+        blocks, matrix = self.hotness_matrix()
+        total_windows = matrix.shape[1]
+        active = np.count_nonzero(matrix, axis=1)
+        totals = matrix.sum(axis=1)
+        ratio = active / total_windows if total_windows else np.zeros(len(blocks))
+        kinds = np.where(
+            ratio >= hot_ratio,
+            "long_lived_hot",
+            np.where(
+                (ratio <= bursty_ratio) & (totals > 0),
+                "bursty",
+                np.where(totals == 0, "cold", "intermittent"),
+            ),
+        )
+        return blocks, totals, active, kinds.tolist()
+
     def classify_blocks(
         self, hot_ratio: float = 0.6, bursty_ratio: float = 0.25
     ) -> list[BlockClassification]:
         """Classify blocks as long-lived hot, bursty, or cold."""
-        blocks, matrix = self.hotness_matrix()
-        total_windows = matrix.shape[1]
-        out: list[BlockClassification] = []
-        for row, block in enumerate(blocks):
-            counts = matrix[row]
-            active = int(np.count_nonzero(counts))
-            total = int(counts.sum())
-            ratio = active / total_windows if total_windows else 0.0
-            if ratio >= hot_ratio:
-                kind = "long_lived_hot"
-            elif ratio <= bursty_ratio and total > 0:
-                kind = "bursty"
-            else:
-                kind = "cold" if total == 0 else "intermittent"
-            out.append(
-                BlockClassification(
-                    block_id=block,
-                    total_accesses=total,
-                    active_windows=active,
-                    total_windows=total_windows,
-                    kind=kind,
-                )
+        blocks, totals, active, kinds = self._block_kinds(hot_ratio, bursty_ratio)
+        total_windows = self.window_count
+        return [
+            BlockClassification(
+                block_id=block,
+                total_accesses=total,
+                active_windows=windows,
+                total_windows=total_windows,
+                kind=kind,
             )
-        return out
+            for block, total, windows, kind in zip(
+                blocks, totals.tolist(), active.tolist(), kinds
+            )
+        ]
 
     def prefetch_candidates(self) -> list[int]:
         """Blocks recommended for pinning / proactive prefetch."""
@@ -185,15 +200,15 @@ class TimeSeriesHotnessTool(PastaTool):
         return [c.block_id for c in self.classify_blocks() if c.kind == "bursty"]
 
     def report(self) -> dict[str, object]:
-        classes = self.classify_blocks()
-        by_kind: dict[str, int] = defaultdict(int)
-        for c in classes:
-            by_kind[c.kind] += 1
+        kinds = self._block_kinds(hot_ratio=0.6, bursty_ratio=0.25)[3]
+        # Counter keeps first-seen order, so block_kinds lists the kinds in
+        # the order their first block appears.
+        by_kind = Counter(kinds)
         return json_sanitize({
             "tool": self.tool_name,
-            "blocks": len(classes),
+            "blocks": len(kinds),
             "windows": self.window_count,
             "block_kinds": dict(by_kind),
-            "prefetch_candidates": len(self.prefetch_candidates()),
-            "eviction_candidates": len(self.eviction_candidates()),
+            "prefetch_candidates": by_kind["long_lived_hot"],
+            "eviction_candidates": by_kind["bursty"],
         })

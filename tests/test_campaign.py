@@ -6,6 +6,7 @@ import json
 import threading
 import time
 
+import numpy as np
 import pytest
 
 import repro
@@ -21,7 +22,12 @@ from repro.campaign import (
     render_table,
     rollup,
 )
-from repro.core.serialization import content_digest, json_roundtrip, json_sanitize
+from repro.core.serialization import (
+    content_digest,
+    json_roundtrip,
+    json_sanitize,
+    stable_json_dumps,
+)
 from repro.errors import ReproError
 
 
@@ -54,6 +60,25 @@ class TestJsonSanitize:
                 return 7
 
         assert json_sanitize({"x": FakeScalar()}) == {"x": 7}
+
+    @pytest.mark.parametrize(
+        "array, expected",
+        [
+            (np.array([], dtype=np.int64), []),
+            (np.array([5], dtype=np.int64), [5]),
+            (np.array([True, False]), [True, False]),
+            (np.arange(3, dtype=np.int64), [0, 1, 2]),
+        ],
+        ids=["empty", "length-1", "bool", "int64"],
+    )
+    def test_numpy_arrays_become_lists_of_native_scalars(self, array, expected):
+        report = {"tool": "t", "columns": [array], "by_name": {"column": array}}
+        out = json_sanitize(report)
+        assert out == {"tool": "t", "columns": [expected], "by_name": {"column": expected}}
+        for value in (out["columns"][0], out["by_name"]["column"]):
+            assert type(value) is list
+            assert [type(item) for item in value] == [type(item) for item in expected]
+        assert json.loads(stable_json_dumps(report)) == out
 
     def test_roundtrip_and_digest_stability(self):
         a = {"b": 1, "a": [1, 2]}

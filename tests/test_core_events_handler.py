@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.errors import HandlerError
@@ -10,7 +11,11 @@ from repro.core.events import (
     EventCategory,
     FINE_GRAINED_CATEGORIES,
     FRAMEWORK_CATEGORIES,
+    InstructionBatch,
+    InstructionEvent,
     KernelLaunchEvent,
+    MemoryAccessBatch,
+    MemoryAccessEvent,
     MemcpyEvent,
     MemoryAllocEvent,
     MemoryFreeEvent,
@@ -24,6 +29,7 @@ from repro.core.events import (
 from repro.core.handler import PastaEventHandler
 from repro.dlframework import ops
 from repro.gpusim.device import A100, MiB
+from repro.gpusim.instruction import InstructionKind
 from repro.gpusim.kernel import GridConfig, KernelArgument
 from repro.gpusim.runtime import MemcpyKind, create_runtime
 from repro.vendors import ComputeSanitizerBackend, RocprofilerBackend
@@ -61,6 +67,61 @@ class TestEventTaxonomy:
     def test_kernel_launch_total_threads(self):
         event = KernelLaunchEvent(grid=(4, 2, 1), block=(128, 1, 1))
         assert event.total_threads == 1024
+
+
+def _assert_column_dtypes(batch) -> None:
+    for name, dtype in type(batch).COLUMN_DTYPES.items():
+        column = getattr(batch, name)
+        assert isinstance(column, np.ndarray), name
+        assert column.ndim == 1 and column.dtype == dtype, name
+
+
+class TestBatchColumns:
+    """Every producer of a batch yields the same column shape."""
+
+    def test_constructor_coerces_sequences_and_other_dtypes(self):
+        batch = MemoryAccessBatch(
+            addresses=[0x100, 0x200], sizes=(4, 8),
+            write_flags=np.array([0, 1], dtype=np.int8),
+            thread_indices=np.array([1, 2], dtype=np.int32), block_indices=(0, 1),
+        )
+        _assert_column_dtypes(batch)
+        assert batch.write_flags.tolist() == [False, True]
+        _assert_column_dtypes(MemoryAccessBatch())
+        _assert_column_dtypes(InstructionBatch(thread_indices=[3], block_indices=(0,)))
+        _assert_column_dtypes(InstructionBatch())
+
+    def test_as_batch_and_unroll_round_trip_with_python_scalars(self):
+        access = MemoryAccessEvent(address=0x1040, size=8, is_write=True,
+                                   kernel_launch_id=7, thread_index=33, block_index=2)
+        batch = access.as_batch()
+        _assert_column_dtypes(batch)
+        (unrolled,) = batch.unroll()
+        fields = (unrolled.address, unrolled.size, unrolled.is_write,
+                  unrolled.thread_index, unrolled.block_index)
+        assert fields == (0x1040, 8, True, 33, 2)
+        assert [type(f) for f in fields] == [int, int, bool, int, int]
+        instruction = InstructionEvent(kind=InstructionKind.BARRIER, thread_index=12,
+                                       block_index=1).as_batch()
+        _assert_column_dtypes(instruction)
+        (marker,) = instruction.unroll()
+        assert type(marker.thread_index) is int and type(marker.block_index) is int
+
+    def test_handler_emits_array_columns_from_the_simulator(self):
+        runtime = create_runtime(A100)
+        backend = ComputeSanitizerBackend()
+        backend.attach(runtime)
+        backend.enable_instruction_tracing(True)
+        handler, events = make_handler_with_sink()
+        handler.attach_vendor_backend(backend)
+        obj = runtime.malloc(1 * MiB)
+        runtime.launch_kernel("k", GridConfig.for_elements(4096),
+                              arguments=[KernelArgument(obj.address, obj.size)])
+        batches = [e for e in events if isinstance(e, (MemoryAccessBatch, InstructionBatch))]
+        assert {type(b) for b in batches} == {MemoryAccessBatch, InstructionBatch}
+        for batch in batches:
+            assert len(batch) > 0
+            _assert_column_dtypes(batch)
 
 
 class TestVendorTranslation:

@@ -79,6 +79,17 @@ class TestDispatchAndSubscriptions:
         tool.handle_event(make_launch_event(name="special"))
         assert tool.kernels == ["special"]
 
+    def test_hook_patched_after_construction_takes_effect(self):
+        tool = KernelOnlyTool()
+        seen: list[str] = []
+
+        def patched(event: KernelLaunchEvent) -> None:
+            seen.append(event.kernel_name)
+
+        tool.on_kernel_launch = patched  # type: ignore[method-assign]
+        tool.handle_event(make_launch_event(name="patched"))
+        assert seen == ["patched"] and tool.kernels == []
+
     def test_unregister_tool(self):
         processor = PastaEventProcessor(enable_gpu_preprocessing=False)
         tool = KernelOnlyTool()

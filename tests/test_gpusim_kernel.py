@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from repro.errors import KernelError
@@ -120,8 +123,12 @@ class TestTraceGeneration:
         second = launch.generate_access_columns(max_records=64)
         for a, b in zip(first, second):
             assert a.tolist() == b.tolist()
-        assert (launch.generate_instruction_batch(max_records=64)
-                == launch.generate_instruction_batch(max_records=64))
+        first_batch = launch.generate_instruction_batch(max_records=64)
+        second_batch = launch.generate_instruction_batch(max_records=64)
+        # Dataclass == is ambiguous on array columns: compare field by field.
+        for field in dataclasses.fields(first_batch):
+            assert np.array_equal(getattr(first_batch, field.name),
+                                  getattr(second_batch, field.name)), field.name
 
     def test_no_accesses_for_empty_arguments(self):
         launch = make_launch([])

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gzip
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -49,6 +50,7 @@ from repro.replay import (
     index_path_for,
     replay_trace,
 )
+from repro.replay.format import dumps_record
 from repro.replay.replayer import TraceAddressResolver
 from repro.tools import (
     KernelFrequencyTool,
@@ -226,6 +228,32 @@ class TestEventCodecs:
     def test_schemas_cover_all_builtin_events(self):
         schemas = current_schemas()
         assert {cls.__name__ for cls in ALL_EVENT_CLASSES} <= set(schemas)
+
+    def test_batch_schemas_match_release_1_6_0(self):
+        # Batch columns are numpy arrays in memory but JSON lists on the
+        # wire; the fingerprint follows the wire form, so traces recorded
+        # by 1.6.0 still pass the strict schema check.
+        schemas = current_schemas()
+        assert schemas["MemoryAccessBatch"] == "953c8e554ed50127"
+        assert schemas["InstructionBatch"] == "a529fb7563492837"
+
+    def test_release_1_6_0_batch_line_decodes_to_arrays(self):
+        line = (
+            '{"addresses":[4160,4224,16384],"block_indices":[0,0,1],'
+            '"category":"memory_access_batch","device_index":1,'
+            '"kernel_launch_id":7,"sizes":[4,4,8],"source":"compute_sanitizer",'
+            '"thread_indices":[0,1,2],"timestamp_ns":20,'
+            '"type":"MemoryAccessBatch","write_flags":[false,true,false]}'
+        )
+        batch = decode_event(json.loads(line))
+        assert isinstance(batch, MemoryAccessBatch)
+        for name in ("addresses", "sizes", "thread_indices", "block_indices"):
+            column = getattr(batch, name)
+            assert isinstance(column, np.ndarray) and column.dtype == np.int64, name
+        assert batch.write_flags.dtype == np.bool_
+        assert batch.addresses.tolist() == [0x1040, 0x1080, 0x4000]
+        assert batch.write_flags.tolist() == [False, True, False]
+        assert dumps_record(encode_event(batch)) == line
 
     @settings(max_examples=50, deadline=None)
     @given(
