@@ -25,11 +25,9 @@ from repro.api.runner import (
     ParallelReplayResult,
     ProfileResult,
     execute,
-    execute_parallel,
     execute_payload,
     record_workload_trace,
     replay,
-    replay_parallel,
     replay_payload,
     run,
     workload_signature,
@@ -55,14 +53,12 @@ __all__ = [
     "ProfileSpec",
     "RUN_MODES",
     "execute",
-    "execute_parallel",
     "execute_payload",
     "normalize_knobs",
     "normalize_parallelism",
     "profile",
     "record_workload_trace",
     "replay",
-    "replay_parallel",
     "replay_payload",
     "run",
     "workload_signature",

@@ -193,20 +193,13 @@ class ProfileBuilder:
     def replay(self, trace: object):
         """Replay a recorded trace under this configuration (offline).
 
-        Returns a :class:`~repro.replay.replayer.ReplayResult`.
+        Returns a :class:`~repro.replay.replayer.ReplayResult`, or a
+        :class:`~repro.api.runner.ParallelReplayResult` for a parallel
+        configuration (which takes no tool instances).
         """
         from repro.api.runner import replay as replay_fn
 
-        spec = self._spec()
-        if spec.parallelism is not None:
-            if self._tool_instances:
-                raise ReproError(
-                    "parallel replays attach one fresh tool instance per rank; "
-                    "register tools and add them by name"
-                )
-            return replay_fn(trace, spec)
-        tools: list[Union[str, PastaTool]] = list(spec.tools) + list(self._tool_instances)
-        return replay_fn(trace, spec, tools=tools if tools else None)
+        return replay_fn(trace, self._spec(), tools=self._tool_instances)
 
 
 def profile(model: str) -> ProfileBuilder:

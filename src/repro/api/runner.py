@@ -2,13 +2,16 @@
 
 All four execution styles — live run, record-to-trace, offline replay, and
 campaign jobs (in either simulate or replay mode) — are implemented here, and
-all of them are driven by the same :class:`~repro.api.spec.ProfileSpec`:
+all of them are driven by the same :class:`~repro.api.spec.ProfileSpec`.
+A single-device profile is a one-rank world, so one code path serves any
+number of ranks:
 
-* :func:`execute` — simulate a workload under a live
-  :class:`~repro.core.session.PastaSession` (recording a trace when the spec
-  says so);
+* :func:`execute` — build the spec's world (one framework context for a
+  single device, or a device set and its DP/TP/PP runner) and simulate it
+  under one live :class:`~repro.core.session.PastaSession` per rank,
+  recording every rank into one trace when the spec says so;
 * :func:`replay` — re-drive a recorded trace through the spec's tools and
-  analysis model with no simulator attached;
+  analysis model with no simulator attached, one replay per recorded rank;
 * :func:`execute_payload` / :func:`record_workload_trace` /
   :func:`replay_payload` — the module-level, picklable wrappers the campaign
   scheduler fans out over worker pools (their arguments and results are
@@ -25,7 +28,7 @@ import dataclasses
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Union
 
 from repro.api.spec import ParallelismSpec, ProfileSpec, normalize_parallelism
 from repro.core.annotations import RangeFilter
@@ -42,6 +45,10 @@ from repro.obs.telemetry import active as _active_telemetry
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.runtime import AcceleratorRuntime, create_runtime
 from repro.gpusim.trace import AnalysisModel
+from repro.vendors import ProfilingBackend
+
+if TYPE_CHECKING:  # pragma: no cover - repro.replay imports this package
+    from repro.replay.format import TraceHeader
 
 #: Tool every parallel rank carries implicitly: its per-device timeline is
 #: the per-rank memory profile the cross-rank report aggregates (Figure 15's
@@ -79,115 +86,6 @@ class ProfileResult:
     def report(self, name: str) -> dict[str, object]:
         """One attached tool's report by registry name."""
         return self.tool(name).report()
-
-
-def _resolve_tools(
-    spec: ProfileSpec, extra_tools: Sequence[PastaTool]
-) -> list[PastaTool]:
-    tools: list[PastaTool] = [create_tool(name) for name in spec.tools]
-    tools.extend(extra_tools)
-    return tools
-
-
-def execute(
-    spec: ProfileSpec,
-    *,
-    extra_tools: Sequence[PastaTool] = (),
-    device: Optional[DeviceSpec] = None,
-    range_filter: Optional[RangeFilter] = None,
-    cost_config: Optional[CostModelConfig] = None,
-    record_to: Union[str, Path, None] = None,
-) -> Union[ProfileResult, "ParallelProfileResult"]:
-    """Simulate ``spec``'s workload under a live PASTA session.
-
-    The spec is authoritative; the keyword arguments are programmatic escape
-    hatches for things a declarative spec cannot carry — already-built tool
-    *instances* (``extra_tools``), a custom :class:`DeviceSpec` not in the
-    device registry, pre-built range/cost overrides (which otherwise come
-    from the spec's knobs), and a ``record_to`` destination overriding the
-    spec's.
-
-    A spec with a :class:`~repro.api.spec.ParallelismSpec` routes through the
-    multi-GPU path and returns a :class:`ParallelProfileResult` instead; the
-    per-rank device list comes from the spec, so the programmatic ``device``
-    and stateful ``range_filter`` escape hatches are rejected there.
-    """
-    if spec.parallelism is not None:
-        if extra_tools:
-            raise ReproError(
-                "parallel profiles attach one fresh tool instance per rank; "
-                "register tools and name them in the spec instead of passing "
-                "extra_tools instances"
-            )
-        if device is not None or range_filter is not None:
-            raise ReproError(
-                "parallel profiles resolve per-rank devices and range filters "
-                "from the spec; the device/range_filter overrides do not apply"
-            )
-        return execute_parallel(spec, cost_config=cost_config, record_to=record_to)
-    spec_range, spec_cost = spec.resolve_overrides()
-    range_filter = range_filter if range_filter is not None else spec_range
-    cost_config = cost_config if cost_config is not None else spec_cost
-    record_to = record_to if record_to is not None else spec.record_to
-
-    telemetry = _active_telemetry()
-    with telemetry.span("profile.setup", model=spec.model, device=spec.device):
-        if telemetry.enabled:
-            import repro
-
-            telemetry.annotate(spec_digest=spec.digest(repro.__version__), model=spec.model)
-        # create() (not get()) so the namespace's DeviceSpec product check runs.
-        device_spec = device if device is not None else REGISTRY.create("devices", spec.device)
-        runtime = create_runtime(device_spec)  # type: ignore[arg-type]
-        ctx = FrameworkContext(runtime)
-        engine = ExecutionEngine(ctx)
-        model = REGISTRY.create("models", spec.model)
-
-        session_kwargs: dict[str, object] = {}
-        if record_to is not None:
-            session_kwargs["record_to"] = record_to
-            session_kwargs["trace_metadata"] = spec.canonical()
-        session = PastaSession(
-            runtime,
-            tools=_resolve_tools(spec, extra_tools),
-            vendor_backend=spec.backend,
-            analysis_model=spec.analysis_model,
-            enable_fine_grained=spec.fine_grained,
-            range_filter=range_filter,
-            cost_config=cost_config,
-            **session_kwargs,
-        )
-        session.attach_framework(ctx)
-    # Imported lazily to avoid a cycle: the campaign package imports this
-    # module at load time.
-    from repro.campaign.progress import active_progress
-
-    progress = active_progress()
-    if progress.enabled:
-        progress.emit(
-            "phase", event="simulate", job=spec.label(), model=spec.model,
-            mode=spec.mode, iterations=spec.iterations,
-        )
-    with telemetry.span(
-        "profile.simulate",
-        model=spec.model,
-        mode=spec.mode,
-        iterations=spec.iterations,
-    ) as simulate_span:
-        with session:
-            engine.prepare(model)
-            if spec.mode == "inference":
-                summary = engine.run_inference(
-                    model, iterations=spec.iterations, batch_size=spec.batch_size
-                )
-            else:
-                summary = engine.run_training(
-                    model, iterations=spec.iterations, batch_size=spec.batch_size
-                )
-        simulate_span.set_counter("events_processed", session.processor.events_processed)
-    return ProfileResult(
-        spec=spec, model=model, runtime=runtime, ctx=ctx, session=session, summary=summary
-    )
 
 
 # ---------------------------------------------------------------------- #
@@ -287,12 +185,18 @@ def _parallel_reports(
     }
 
 
-def _rank_tool_instances(spec: ProfileSpec) -> list[PastaTool]:
-    """One fresh tool set for one rank: the spec's tools plus the implicit
-    per-rank memory timeline (skipped when the spec already names it)."""
-    tools = [create_tool(name) for name in spec.tools]
-    if PARALLEL_MEMORY_TOOL not in spec.tools:
+def _rank_tools(
+    names: Sequence[str],
+    parallelism: Optional[ParallelismSpec],
+    extra_tools: Sequence[PastaTool] = (),
+) -> list[PastaTool]:
+    """One rank's fresh tool set: the named tools, the implicit per-rank
+    memory timeline of a parallel profile (unless named), then the extra
+    instances."""
+    tools = [create_tool(name) for name in names]
+    if parallelism is not None and PARALLEL_MEMORY_TOOL not in names:
         tools.append(create_tool(PARALLEL_MEMORY_TOOL))
+    tools.extend(extra_tools)
     return tools
 
 
@@ -408,202 +312,246 @@ def _rank_progress_hook(spec: ProfileSpec, parallelism: ParallelismSpec):
     return on_iteration
 
 
-def execute_parallel(
-    spec: ProfileSpec,
-    *,
-    cost_config: Optional[CostModelConfig] = None,
-    record_to: Union[str, Path, None] = None,
-) -> ParallelProfileResult:
-    """Simulate ``spec``'s workload across ranks under live PASTA sessions.
+# ---------------------------------------------------------------------- #
+# worlds: what a profile simulates, one framework context per rank
+# ---------------------------------------------------------------------- #
 
-    One :class:`PastaSession` (with the full tool set) attaches to each
-    rank's framework context before the model shards materialize, so every
-    rank's complete event stream — parameters, activations, collectives — is
-    observed and, when recording, persisted into **one** shared trace whose
-    events are per-rank sliceable by ``device_index``.
-    """
-    # Imported lazily (like the replay imports below): the parallel runner
-    # pulls in the model zoo, which the api module must not import eagerly.
-    from repro.dlframework.parallel import create_parallel_runner
-    from repro.gpusim.multigpu import DeviceSet
+class _DeviceWorld:
+    """A single-device profile: one rank, one framework context driven by
+    :class:`~repro.dlframework.engine.ExecutionEngine`."""
 
-    parallelism = spec.parallelism
-    if parallelism is None:
-        raise ReproError("execute_parallel needs a spec with a parallelism config")
-    record_to = record_to if record_to is not None else spec.record_to
+    def __init__(self, spec: ProfileSpec, device: Optional[DeviceSpec]) -> None:
+        self.spec = spec
+        # create() (not get()) so the namespace's DeviceSpec product check runs.
+        device_spec = device if device is not None else REGISTRY.create("devices", spec.device)
+        self.runtime = create_runtime(device_spec)  # type: ignore[arg-type]
+        self.contexts = [FrameworkContext(self.runtime)]
+        self.model: ModelBase = REGISTRY.create("models", spec.model)  # type: ignore[assignment]
 
-    device_names = parallelism.resolved_devices(spec.device)
-    device_specs = [REGISTRY.create("devices", name) for name in device_names]
-    device_set = DeviceSet(device_specs)  # type: ignore[arg-type]
-    config = _parallel_model_config(spec)
-    runner = create_parallel_runner(
-        parallelism.strategy,
-        device_set,
-        config,  # type: ignore[arg-type]
-        num_microbatches=(
-            parallelism.microbatches if parallelism.strategy == "pp" else None
-        ),
-    )
-
-    fine_grained = spec.needs_fine_grained()
-    writer = None
-    if record_to is not None:
-        from repro.replay.format import TraceHeader
-        from repro.replay.writer import TraceWriter
-
-        backends = [_make_backend(spec.backend, runtime) for runtime in device_set]
-        header = TraceHeader.for_recording(
-            device_spec=device_specs[0],  # type: ignore[arg-type]
-            analysis_model=_make_analysis_model(spec.analysis_model).value,
-            backend=backends[0].name,
-            instrumentation=backends[0].instrumentation.value,
-            fine_grained=fine_grained,
-            workload={
-                **spec.canonical(),
-                "device_indices": device_set.device_indices,
-                "rank_devices": list(device_names),
-                "rank_instrumentation": [b.instrumentation.value for b in backends],
-            },
-        )
-        writer = TraceWriter(record_to, header)
-
-    # The shared writer is owned here, not by any rank session: it must be
-    # aborted (marking the trace incomplete) or closed on every path out,
-    # including session-construction failures such as duplicate tool names.
-    sessions: list[PastaSession] = []
-    telemetry = _active_telemetry()
-    try:
-        for rank in range(parallelism.world_size):
-            spec_range, spec_cost = spec.resolve_overrides()
-            session = PastaSession(
-                device_set[rank],
-                tools=_rank_tool_instances(spec),
-                vendor_backend=spec.backend,
-                analysis_model=spec.analysis_model,
-                enable_fine_grained=spec.fine_grained,
-                range_filter=spec_range,  # type: ignore[arg-type]
-                cost_config=cost_config if cost_config is not None else spec_cost,  # type: ignore[arg-type]
-                trace_writer=writer,
+    def simulate(self) -> RunSummary:
+        spec, model = self.spec, self.model
+        engine = ExecutionEngine(self.contexts[0])
+        engine.prepare(model)
+        if spec.mode == "inference":
+            return engine.run_inference(
+                model, iterations=spec.iterations, batch_size=spec.batch_size
             )
-            session.attach_framework(runner.contexts[rank])
-            sessions.append(session)
-        with telemetry.span(
-            "parallel.simulate",
-            model=spec.model,
+        return engine.run_training(
+            model, iterations=spec.iterations, batch_size=spec.batch_size
+        )
+
+    def result(self, sessions: list[PastaSession], summary: RunSummary) -> ProfileResult:
+        return ProfileResult(
+            spec=self.spec, model=self.model, runtime=self.runtime,
+            ctx=self.contexts[0], session=sessions[0], summary=summary,
+        )
+
+
+class _ParallelWorld:
+    """A multi-GPU profile: one rank per device of a
+    :class:`~repro.gpusim.multigpu.DeviceSet`, driven by the spec's DP/TP/PP
+    runner, whose contexts exist before any model shard materializes."""
+
+    def __init__(self, spec: ProfileSpec) -> None:
+        # Imported lazily: the parallel runner pulls in the model zoo, which
+        # the api module must not import eagerly.
+        from repro.dlframework.parallel import create_parallel_runner
+        from repro.gpusim.multigpu import DeviceSet
+
+        assert spec.parallelism is not None
+        self.spec = spec
+        self.parallelism = parallelism = spec.parallelism
+        self.device_names = parallelism.resolved_devices(spec.device)
+        self.device_set = DeviceSet(
+            [REGISTRY.create("devices", name) for name in self.device_names]  # type: ignore[misc]
+        )
+        self.runner = create_parallel_runner(
+            parallelism.strategy,
+            self.device_set,
+            _parallel_model_config(spec),  # type: ignore[arg-type]
+            num_microbatches=(
+                parallelism.microbatches if parallelism.strategy == "pp" else None
+            ),
+        )
+        self.contexts = self.runner.contexts
+
+    def simulate(self) -> ParallelRunSummaryView:
+        spec, parallelism = self.spec, self.parallelism
+        self.runner.run(spec.iterations, progress=_rank_progress_hook(spec, parallelism))
+        per_rank = [
+            {
+                "rank": rank,
+                "device": self.device_names[rank],
+                "device_index": ctx.runtime.device.index,
+                "kernel_launches": ctx.kernel_launch_count,
+                "peak_allocated_bytes": ctx.allocator.stats.peak_allocated_bytes,
+                "peak_reserved_bytes": ctx.allocator.stats.peak_reserved_bytes,
+                "allocation_events": ctx.allocator.event_count,
+                "total_kernel_time_ns": ctx.runtime.total_kernel_time_ns(),
+            }
+            for rank, ctx in enumerate(self.contexts)
+        ]
+        return ParallelRunSummaryView(
+            model_name=spec.model,
             strategy=parallelism.strategy,
             world_size=parallelism.world_size,
             iterations=spec.iterations,
-        ):
-            with ExitStack() as stack:
-                # Sessions are entered in rank order on one thread, so the
-                # per-rank session.run spans nest rank0 → rank1 → …; the rank
-                # attribute is what distinguishes them in the tree.
-                for rank, session in enumerate(sessions):
-                    stack.enter_context(session)
-                    session.annotate_telemetry(rank=rank)
-                runner.run(
-                    spec.iterations,
-                    progress=_rank_progress_hook(spec, parallelism),
-                )
-    except BaseException as error:
-        if writer is not None and not writer.closed:
-            writer.abort(f"{type(error).__name__}: {error}")
-        raise
-    else:
-        if writer is not None and not writer.closed:
-            writer.close()
+            per_rank=per_rank,
+        )
 
-    per_rank = [
-        {
-            "rank": rank,
-            "device": device_names[rank],
-            "device_index": ctx.runtime.device.index,
-            "kernel_launches": ctx.kernel_launch_count,
-            "peak_allocated_bytes": ctx.allocator.stats.peak_allocated_bytes,
-            "peak_reserved_bytes": ctx.allocator.stats.peak_reserved_bytes,
-            "allocation_events": ctx.allocator.event_count,
-            "total_kernel_time_ns": ctx.runtime.total_kernel_time_ns(),
-        }
-        for rank, ctx in enumerate(runner.contexts)
-    ]
-    summary = ParallelRunSummaryView(
-        model_name=spec.model,
-        strategy=parallelism.strategy,
-        world_size=parallelism.world_size,
-        iterations=spec.iterations,
-        per_rank=per_rank,
-    )
-    return ParallelProfileResult(
-        spec=spec,
-        device_set=device_set,
-        runner=runner,
-        sessions=sessions,
-        summary=summary,
-        device_indices=list(device_set.device_indices),
+    def result(
+        self, sessions: list[PastaSession], summary: ParallelRunSummaryView
+    ) -> ParallelProfileResult:
+        return ParallelProfileResult(
+            spec=self.spec,
+            device_set=self.device_set,
+            runner=self.runner,
+            sessions=sessions,
+            summary=summary,
+            device_indices=list(self.device_set.device_indices),
+        )
+
+
+def _trace_header(
+    spec: ProfileSpec,
+    contexts: Sequence[FrameworkContext],
+    backends: Sequence[ProfilingBackend],
+    tools: Sequence[PastaTool],
+) -> "TraceHeader":
+    """The one header of a profile's trace, described by rank 0.
+
+    A parallel trace's workload also names each rank's device index, device
+    and instrumentation, which :func:`replay` slices and configures by.
+    """
+    from repro.replay.format import TraceHeader
+
+    workload = spec.canonical()
+    if spec.parallelism is not None:
+        workload["device_indices"] = [ctx.runtime.device.index for ctx in contexts]
+        workload["rank_devices"] = list(spec.parallelism.resolved_devices(spec.device))
+        workload["rank_instrumentation"] = [b.instrumentation.value for b in backends]
+    return TraceHeader.for_recording(
+        device_spec=contexts[0].runtime.device.spec,
+        analysis_model=_make_analysis_model(spec.analysis_model).value,
+        backend=backends[0].name,
+        instrumentation=backends[0].instrumentation.value,
+        fine_grained=spec.fine_grained or any(t.requires_fine_grained for t in tools),
+        workload=workload,
     )
 
 
-def replay_parallel(
-    trace: object,
+def execute(
     spec: ProfileSpec,
     *,
-    events: Optional[Sequence[object]] = None,
-) -> ParallelReplayResult:
-    """Re-drive a recorded multi-GPU trace offline, one replay per rank.
+    extra_tools: Sequence[PastaTool] = (),
+    device: Optional[DeviceSpec] = None,
+    range_filter: Optional[RangeFilter] = None,
+    cost_config: Optional[CostModelConfig] = None,
+    record_to: Union[str, Path, None] = None,
+) -> Union[ProfileResult, ParallelProfileResult]:
+    """Simulate ``spec``'s workload under live PASTA sessions, one per rank.
 
-    The trace header's workload metadata carries the per-rank device indices
-    the live run recorded; each rank's event slice feeds a fresh
-    :class:`~repro.replay.replayer.TraceReplayer` configured from the spec
-    (tools, analysis model, knobs, the rank's device spec), so the per-rank
-    reports are byte-identical to the live sessions'.
+    The spec is authoritative; the keyword arguments are programmatic escape
+    hatches for things a declarative spec cannot carry — already-built tool
+    *instances* (``extra_tools``), a custom :class:`DeviceSpec` not in the
+    device registry, pre-built range/cost overrides (which otherwise come
+    from the spec's knobs), and a ``record_to`` destination overriding the
+    spec's.
+
+    A single-device spec is a one-rank world and returns a
+    :class:`ProfileResult`; a spec with a
+    :class:`~repro.api.spec.ParallelismSpec` returns a
+    :class:`ParallelProfileResult`.  Parallel ranks take their devices and
+    tools from the spec, so the ``extra_tools``, ``device`` and stateful
+    ``range_filter`` escape hatches are rejected there.  Every session
+    attaches before the workload materializes, so each rank's complete event
+    stream is observed and, when recording, persisted into **one** trace
+    (per-rank sliceable by ``device_index``) whose writer is owned here:
+    closed when the run finishes, aborted on any failure after it opened.
     """
-    from repro.replay.reader import TraceReader
-    from repro.replay.replayer import TraceReplayer
+    if spec.parallelism is not None:
+        if extra_tools:
+            raise ReproError(
+                "parallel profiles attach one fresh tool instance per rank; "
+                "register tools and name them in the spec instead of passing "
+                "extra_tools instances"
+            )
+        if device is not None or range_filter is not None:
+            raise ReproError(
+                "parallel profiles resolve per-rank devices and range filters "
+                "from the spec; the device/range_filter overrides do not apply"
+            )
+    record_to = record_to if record_to is not None else spec.record_to
 
-    parallelism = spec.parallelism
-    if parallelism is None:
-        raise ReproError("replay_parallel needs a spec with a parallelism config")
-    reader = trace if isinstance(trace, TraceReader) else TraceReader(trace)  # type: ignore[arg-type]
-    metadata = reader.header.workload
-    device_indices = metadata.get("device_indices")
-    if not isinstance(device_indices, list) or not device_indices:
-        raise TraceError(
-            f"trace {reader.path} does not carry per-rank device indices; it "
-            f"was not recorded from a multi-GPU parallel profile"
-        )
-    if len(device_indices) != parallelism.world_size:
-        raise TraceError(
-            f"trace {reader.path} records {len(device_indices)} ranks but the "
-            f"spec's parallelism expects {parallelism.world_size}"
-        )
-    device_names = parallelism.resolved_devices(spec.device)
-    recorded_instrumentation = metadata.get("rank_instrumentation")
-    if not isinstance(recorded_instrumentation, list):
-        recorded_instrumentation = [None] * len(device_indices)
+    telemetry = _active_telemetry()
+    with ExitStack() as recording:
+        with telemetry.span("profile.setup", model=spec.model, device=spec.device):
+            if telemetry.enabled:
+                import repro
 
-    if events is None:
-        events = list(reader.events())
-    rank_results = []
-    for rank, device_index in enumerate(int(i) for i in device_indices):
-        rank_events = [e for e in events if e.device_index == device_index]  # type: ignore[attr-defined]
-        spec_range, spec_cost = spec.resolve_overrides()
-        replayer = TraceReplayer(
-            reader,
-            tools=_rank_tool_instances(spec),
-            analysis_model=spec.analysis_model,
-            cost_config=spec_cost,  # type: ignore[arg-type]
-            range_filter=spec_range,  # type: ignore[arg-type]
-            events=rank_events,
-            device_spec=REGISTRY.create("devices", device_names[rank]),  # type: ignore[arg-type]
-            instrumentation=recorded_instrumentation[rank],
-        )
-        rank_results.append(replayer.run())
-    return ParallelReplayResult(
-        spec=spec,
-        trace_path=reader.path,
-        rank_results=rank_results,
-        device_indices=[int(i) for i in device_indices],
-    )
+                telemetry.annotate(spec_digest=spec.digest(repro.__version__), model=spec.model)
+            world: Union[_DeviceWorld, _ParallelWorld] = (
+                _DeviceWorld(spec, device) if spec.parallelism is None
+                else _ParallelWorld(spec)
+            )
+            contexts = world.contexts
+            backends = [_make_backend(spec.backend, ctx.runtime) for ctx in contexts]
+            tool_sets = [_rank_tools(spec.tools, spec.parallelism, extra_tools) for _ in contexts]
+            overrides = [spec.resolve_overrides() for _ in contexts]
+            writer = None
+            if record_to is not None:
+                from repro.replay.writer import TraceWriter
+
+                writer = recording.enter_context(TraceWriter(
+                    record_to, _trace_header(spec, contexts, backends, tool_sets[0])
+                ))
+            sessions = []
+            for ctx, backend, tools, (spec_range, spec_cost) in zip(
+                contexts, backends, tool_sets, overrides
+            ):
+                session = PastaSession(
+                    ctx.runtime,
+                    tools=tools,
+                    vendor_backend=backend,
+                    analysis_model=spec.analysis_model,
+                    enable_fine_grained=spec.fine_grained,
+                    range_filter=range_filter if range_filter is not None else spec_range,  # type: ignore[arg-type]
+                    cost_config=cost_config if cost_config is not None else spec_cost,  # type: ignore[arg-type]
+                    trace_writer=writer,
+                )
+                session.attach_framework(ctx)
+                sessions.append(session)
+        # Imported lazily to avoid a cycle: the campaign package imports this
+        # module at load time.
+        from repro.campaign.progress import active_progress
+
+        progress = active_progress()
+        if progress.enabled:
+            progress.emit(
+                "phase", event="simulate", job=spec.label(), model=spec.model,
+                mode=spec.mode, iterations=spec.iterations,
+            )
+        with telemetry.span(
+            "profile.simulate",
+            model=spec.model,
+            mode=spec.mode,
+            iterations=spec.iterations,
+        ) as simulate_span:
+            with ExitStack() as running:
+                # Sessions are entered in rank order on one thread, so the
+                # per-rank session.run spans nest rank0 → rank1 → …; the rank
+                # attribute is what distinguishes them in the tree (and moves
+                # them to per-rank export lanes, which a single device's one
+                # session does not get).
+                for rank, session in enumerate(sessions):
+                    running.enter_context(session)
+                    if spec.parallelism is not None:
+                        session.annotate_telemetry(rank=rank)
+                summary = world.simulate()
+            simulate_span.set_counter(
+                "events_processed", sum(s.processor.events_processed for s in sessions)
+            )
+    return world.result(sessions, summary)
 
 
 def _split_tools(
@@ -745,47 +693,90 @@ def replay(
     overrides come from it — replaying the spec that recorded a trace
     reproduces the live session's reports byte for byte.  Explicit keyword
     arguments override the spec field for field; tool names and instances
-    may be mixed as in :func:`run`.  Returns a
-    :class:`~repro.replay.replayer.ReplayResult` — or, when the spec carries
-    a parallelism config, a :class:`ParallelReplayResult` with one replay
-    per rank (the per-field keyword overrides do not apply there).
+    may be mixed as in :func:`run`.
+
+    Like :func:`execute`, one code path serves every world size.  Without
+    parallelism, one rank gets every event and the result is a
+    :class:`~repro.replay.replayer.ReplayResult`.  A spec with a parallelism
+    config gets one :class:`~repro.replay.replayer.TraceReplayer` per device
+    index the trace recorded, over that rank's slice of the events and with
+    that rank's device, and a :class:`ParallelReplayResult`; the per-field
+    keyword overrides do not apply there, but ``measure_overhead`` does.
     """
     # Imported lazily: repro.replay builds on repro.core; keeping the api
     # module importable without it avoids a hard import cycle.
-    from repro.replay.replayer import replay_trace
+    from repro.replay.reader import TraceReader
+    from repro.replay.replayer import TraceReplayer
 
-    if spec is not None and spec.parallelism is not None:
-        if tools or analysis_model is not None or cost_config is not None \
-                or range_filter is not None:
-            raise ReproError(
-                "parallel replays are configured entirely by the spec "
-                "(tools, analysis model, knobs); the per-field keyword "
-                "overrides do not apply"
-            )
-        return replay_parallel(trace, spec, events=events)
-
+    parallelism = None if spec is None else spec.parallelism
+    if parallelism is not None and (
+        tools or analysis_model is not None or cost_config is not None
+        or range_filter is not None
+    ):
+        raise ReproError(
+            "parallel replays are configured entirely by the spec "
+            "(tools, analysis model, knobs); the per-field keyword "
+            "overrides do not apply"
+        )
     names, instances = _split_tools(tools)
-    if spec is not None and not names:
+    if spec is not None:
         # Instance-only (or absent) tool lists keep the spec's tool set;
         # passed names replace it.  Instances are always extras on top.
-        names = spec.tools
-    tool_instances = [create_tool(name) for name in names] + instances
-    if spec is not None:
-        spec_range, spec_cost = spec.resolve_overrides()
+        names = names or spec.tools
         if analysis_model is None:
             analysis_model = spec.analysis_model
-        if range_filter is None:
-            range_filter = spec_range
-        if cost_config is None:
-            cost_config = spec_cost
-    return replay_trace(
-        trace,  # type: ignore[arg-type]
-        tools=tool_instances,
-        analysis_model=analysis_model,
-        cost_config=cost_config,
-        range_filter=range_filter,
-        measure_overhead=measure_overhead,
-        events=events,
+    reader = trace if isinstance(trace, TraceReader) else TraceReader(trace)  # type: ignore[arg-type]
+    # (device index, device spec, instrumentation) per rank.  The one rank of
+    # a single-device replay keeps the header's device and instrumentation
+    # and streams every event.
+    ranks: list[tuple[Optional[int], Optional[DeviceSpec], Optional[str]]] = [(None, None, None)]
+    if parallelism is not None:
+        metadata = reader.header.workload
+        device_indices = metadata.get("device_indices")
+        if not isinstance(device_indices, list) or not device_indices:
+            raise TraceError(
+                f"trace {reader.path} does not carry per-rank device indices; it "
+                f"was not recorded from a multi-GPU parallel profile"
+            )
+        if len(device_indices) != parallelism.world_size:
+            raise TraceError(
+                f"trace {reader.path} records {len(device_indices)} ranks but the "
+                f"spec's parallelism expects {parallelism.world_size}"
+            )
+        instrumentation = metadata.get("rank_instrumentation")
+        if not isinstance(instrumentation, list):
+            instrumentation = [None] * len(device_indices)
+        ranks = [
+            (int(index), REGISTRY.create("devices", name), kind)  # type: ignore[misc]
+            for index, name, kind in zip(
+                device_indices, parallelism.resolved_devices(spec.device), instrumentation  # type: ignore[union-attr]
+            )
+        ]
+        if events is None:
+            events = list(reader.events())  # decoded once, sliced per rank
+    results = []
+    for device_index, device_spec, rank_instrumentation in ranks:
+        spec_range, spec_cost = (None, None) if spec is None else spec.resolve_overrides()
+        results.append(TraceReplayer(
+            reader,
+            tools=_rank_tools(names, parallelism, instances),
+            analysis_model=analysis_model,
+            cost_config=cost_config if cost_config is not None else spec_cost,  # type: ignore[arg-type]
+            range_filter=range_filter if range_filter is not None else spec_range,  # type: ignore[arg-type]
+            measure_overhead=measure_overhead,
+            events=events if device_index is None else [
+                e for e in events if e.device_index == device_index  # type: ignore[union-attr, attr-defined]
+            ],
+            device_spec=device_spec,
+            instrumentation=rank_instrumentation,
+        ).run())
+    if parallelism is None:
+        return results[0]
+    return ParallelReplayResult(
+        spec=spec,
+        trace_path=reader.path,
+        rank_results=results,
+        device_indices=[int(index) for index, _, _ in ranks],  # type: ignore[arg-type]
     )
 
 

@@ -10,6 +10,7 @@ campaign scheduler and the replay engine share.
 from __future__ import annotations
 
 import argparse
+from pathlib import Path
 from typing import Optional
 
 from repro.api import PARALLEL_STRATEGIES, ParallelismSpec, ProfileSpec, execute
@@ -158,14 +159,12 @@ def cmd_profile(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
             reports["self_overhead"] = telemetry.self_overhead_report(
                 telemetry.elapsed_ns())
         if args.record:
-            # Parallel profiles record all ranks into one shared trace, so the
-            # path is the same whichever session reports it.
-            session = result.session if hasattr(result, "session") else result.sessions[0]
+            trace_path = Path(result.spec.record_to)  # type: ignore[arg-type]
             # In JSON mode the trace path rides inside the document — a bare
             # text line first would make stdout invalid JSON for pipelines.
             if args.json:
-                reports["trace"] = {"path": str(session.trace_path)}
+                reports["trace"] = {"path": str(trace_path)}
             else:
-                print(f"recorded event stream to {session.trace_path}")
+                print(f"recorded event stream to {trace_path}")
         print_reports(reports, args.json)
     return 0

@@ -21,7 +21,7 @@ Typical usage::
 from __future__ import annotations
 
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from repro.errors import PastaError
 from repro.core.annotations import RangeFilter, _set_active_session
@@ -158,8 +158,6 @@ class PastaSession:
         range_filter: Optional[RangeFilter] = None,
         measure_overhead: bool = True,
         cost_config: Optional[CostModelConfig] = None,
-        record_to: Union[str, Path, None] = None,
-        trace_metadata: Optional[Mapping[str, object]] = None,
         trace_writer: Optional["TraceWriter"] = None,
     ) -> None:
         self.runtime = runtime
@@ -190,39 +188,13 @@ class PastaSession:
         #: Telemetry span covering start()..stop(); None while telemetry is
         #: disabled so the stop() sampling pass is skipped entirely.
         self._obs_span = None
-        self._trace_writer: Optional["TraceWriter"] = None
-        #: Whether this session created (and therefore closes) the writer.
-        #: Multi-GPU runs share one externally-owned writer across the
-        #: per-rank sessions, so each rank taps it but never finalises it.
-        self._owns_trace_writer = True
-        self.trace_path: Optional[Path] = None
-        if record_to is not None and trace_writer is not None:
-            raise PastaError(
-                "pass either record_to (session-owned trace file) or "
-                "trace_writer (shared, externally-owned writer), not both"
-            )
+        #: The trace this session taps.  Its caller owns it: opens it before
+        #: the session and closes (or aborts) it after, so one writer can
+        #: serve every rank of a multi-GPU profile.
+        self._trace_writer = trace_writer
+        self.trace_path: Optional[Path] = None if trace_writer is None else trace_writer.path
         if trace_writer is not None:
-            self._trace_writer = trace_writer
-            self._owns_trace_writer = False
-            self.trace_path = trace_writer.path
             self.handler.set_sink(_recording_sink(trace_writer, self.processor))
-        if record_to is not None:
-            # Imported lazily: repro.replay builds on repro.core, not the
-            # other way around, so the tap must not create an import cycle.
-            from repro.replay.format import TraceHeader
-            from repro.replay.writer import TraceWriter
-
-            header = TraceHeader.for_recording(
-                device_spec=runtime.device.spec,
-                analysis_model=self.analysis_model.value,
-                backend=self.backend.name,
-                instrumentation=self.backend.instrumentation.value,
-                fine_grained=self.enable_fine_grained,
-                workload=trace_metadata,
-            )
-            self._trace_writer = TraceWriter(record_to, header)
-            self.trace_path = self._trace_writer.path
-            self.handler.set_sink(_recording_sink(self._trace_writer, self.processor))
 
     # ------------------------------------------------------------------ #
     # configuration
@@ -298,7 +270,7 @@ class PastaSession:
         return self
 
     def stop(self) -> None:
-        """Stop profiling, detach from the vendor backend, finalise the trace."""
+        """Stop profiling and detach from the vendor backend."""
         if not self._started:
             return
         if self._obs_span is not None:
@@ -312,12 +284,6 @@ class PastaSession:
         self.runtime.device.reserve_profiler_memory(0)
         _set_active_session(None)
         self._started = False
-        if (
-            self._owns_trace_writer
-            and self._trace_writer is not None
-            and not self._trace_writer.closed
-        ):
-            self._trace_writer.close()
 
     # ------------------------------------------------------------------ #
     # telemetry sampling
@@ -399,12 +365,6 @@ class PastaSession:
         return self.start()
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is not None and self.is_recording and self._owns_trace_writer:
-            # The workload died mid-session: keep what was recorded but mark
-            # the trace incomplete so readers refuse it by default.  A shared
-            # writer is aborted by its owner (the multi-GPU executor), which
-            # sees the exception too.
-            self._trace_writer.abort(f"{exc_type.__name__}: {exc}")
         self.stop()
 
     @property

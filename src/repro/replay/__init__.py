@@ -7,8 +7,8 @@ record-once/analyze-many model of vendor profilers' offline workflows:
   codecs with schema-version checks, and a gzip-compressed chunked JSONL
   container with a provenance header and a digest-bearing footer;
 * :mod:`repro.replay.writer` — :class:`TraceWriter`, the buffered recording
-  tap that ``PastaSession(record_to=...)`` installs between the event handler
-  and the event processor;
+  tap that ``PastaSession(trace_writer=...)`` installs between the event
+  handler and the event processor;
 * :mod:`repro.replay.reader` — :class:`TraceReader`, a streaming reader with
   category / kernel-range / region slicing and a lightweight seek index;
 * :mod:`repro.replay.replayer` — :class:`TraceReplayer`, which re-drives any

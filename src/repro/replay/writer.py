@@ -8,11 +8,12 @@ happens every ``chunk_events`` events.  Closing the writer emits the footer
 (counts + content digest) and a sidecar index that maps every chunk to its
 ``(offset, length)`` byte span for random access.
 
-The writer is installed by ``PastaSession(record_to=...)`` as a tap on the
-handler's sink: every event the handler forwards to the event processor is
-also appended to the trace, regardless of backend, tool mix or analysis
-model — which is exactly what makes the trace replayable under a *different*
-tool mix or analysis model later.
+The profile runner (:func:`repro.api.execute`) owns the writer and hands it
+to every rank's ``PastaSession(trace_writer=...)``, which installs it as a
+tap on the handler's sink: every event the handler forwards to the event
+processor is also appended to the trace, regardless of backend, tool mix or
+analysis model — which is exactly what makes the trace replayable under a
+*different* tool mix or analysis model later.
 """
 
 from __future__ import annotations
@@ -226,7 +227,12 @@ class TraceWriter:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
+        if exc_type is not None:
+            # The body died mid-recording: keep what was written but mark the
+            # trace incomplete so readers refuse it by default.
+            self.abort(f"{exc_type.__name__}: {exc}")
+        else:
+            self.close()
 
     def __del__(self) -> None:  # pragma: no cover - GC safety net
         try:

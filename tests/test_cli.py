@@ -97,6 +97,7 @@ class TestProfile:
         assert trace.exists()
         out = capsys.readouterr().out
         live = json.loads(out[out.index("{"):])
+        assert live["trace"]["path"] == str(trace)
         assert main(["trace", "replay", str(trace),
                      "-t", "kernel_frequency", "--json"]) == 0
         out = capsys.readouterr().out

@@ -8,7 +8,7 @@ import pickle
 import pytest
 
 import repro
-from repro.api import ProfileSpec, execute
+from repro.api import ParallelismSpec, ProfileSpec, execute
 from repro.campaign.cache import ResultCache
 from repro.campaign.scheduler import CampaignScheduler, JobAttemptsError
 from repro.commands import main
@@ -57,6 +57,8 @@ class TestProfileTelemetry:
         assert summary["errors"] == 0
         # The session span sampled the pipeline's counters.
         session_span = next(r for r in _spans(records) if r["name"] == "session.run")
+        # One device, one session: it stays on the main export lane.
+        assert "rank" not in session_span["attrs"]
         counters = session_span["counters"]
         assert counters["events_processed"] > 0
         assert counters["batches_dispatched"] > 0
@@ -66,6 +68,29 @@ class TestProfileTelemetry:
         # Provenance carries the spec digest.
         assert summary["provenance"]["spec_digest"] == spec.digest(repro.__version__)
         assert result.summary.as_dict()["kernel_launches"] > 0
+
+    def test_parallel_run_covers_wall_time(self, tmp_path):
+        # A parallel profile is a world of ranks run through the same
+        # setup/simulate span pair as a single device, so its setup (device
+        # set, runner, per-rank sessions) is inside the span tree too.
+        spec = ProfileSpec(model="megatron_gpt2_345m", mode="train", batch_size=2,
+                           tools=("kernel_frequency",),
+                           parallelism=ParallelismSpec("tp", world_size=2))
+        telemetry = Telemetry.open(tmp_path)
+        with activated(telemetry):
+            with telemetry.span("cli.profile"):
+                execute(spec)
+        records = read_records(tmp_path)
+        names = {r["name"] for r in _spans(records)}
+        assert {"cli.profile", "profile.setup", "profile.simulate",
+                "session.run"} <= names
+        session_ranks = sorted(
+            r["attrs"]["rank"] for r in _spans(records) if r["name"] == "session.run")
+        assert session_ranks == [0, 1]
+        summary = summarize(records)
+        assert summary["coverage"] >= 0.95
+        assert summary["errors"] == 0
+        assert summary["provenance"]["spec_digest"] == spec.digest(repro.__version__)
 
     def test_reports_identical_with_telemetry_on_and_off(self, tmp_path):
         spec = ProfileSpec(model="alexnet", device="rtx3060", batch_size=2,

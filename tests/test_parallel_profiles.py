@@ -275,16 +275,30 @@ class TestParallelRecordReplay:
         with pytest.raises(TraceError, match="ranks"):
             api.replay(trace, mismatched)
 
-    def test_failed_session_construction_finalises_the_shared_writer(self, tmp_path):
-        # Duplicate tool names make per-rank session construction raise
-        # after the shared writer opened its file; the writer must still be
-        # aborted so the trace is a readable, explicitly-incomplete file
-        # rather than a leaked header-only fragment.
+    def test_measure_overhead_false_reaches_every_rank(self, recorded):
+        spec, trace, _live = recorded
+        reports = api.replay(trace, spec, measure_overhead=False).reports()
+        assert set(reports["ranks"]) == {"rank0", "rank1"}
+        for rank_report in reports["ranks"].values():
+            assert "overhead" not in rank_report
+            assert "kernel_frequency" in rank_report
+
+    @pytest.mark.parametrize(
+        "parallelism", [None, ParallelismSpec("tp", world_size=2)],
+        ids=["single_device", "tp"],
+    )
+    def test_failed_session_construction_finalises_the_shared_writer(
+        self, tmp_path, parallelism
+    ):
+        # Duplicate tool names make session construction raise after the
+        # runner opened the trace writer, at any world size; the writer must
+        # still be aborted so the trace is a readable, explicitly-incomplete
+        # file rather than a leaked header-only fragment.
         trace = tmp_path / "aborted.pastatrace"
         spec = ProfileSpec(
             model=SMALL_MODEL, mode="train",
             tools=("kernel_frequency", "kernel_frequency"),
-            parallelism=ParallelismSpec("tp", world_size=2),
+            parallelism=parallelism,
         )
         with pytest.raises(Exception, match="kernel_frequency"):
             api.execute(spec.with_record(trace))
@@ -387,7 +401,8 @@ class TestParallelCli:
         rc = main(["profile", SMALL_MODEL, "--parallel", "dp",
                    "-t", "memory_timeline", "--record", str(trace), "--json"])
         assert rc == 0
-        capsys.readouterr()
+        document = json.loads(capsys.readouterr().out)
+        assert document["trace"]["path"] == str(trace)
         reader = TraceReader(trace)
         rank0 = int(reader.header.workload["device_indices"][0])
         out = tmp_path / "rank0.pastatrace"

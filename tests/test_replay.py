@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gzip
 import json
+import zlib
 
 import numpy as np
 import pytest
@@ -457,6 +458,29 @@ class TestContainer:
         index_path_for(path).unlink()
         assert not TraceReader(path).verify()
 
+    def test_failed_slice_leaves_an_incomplete_trace(self, tmp_path):
+        trace = tmp_path / "alexnet.pastatrace"
+        api.run("alexnet", device="a100", tools=(), batch_size=2, record_to=trace)
+        chunk = json.loads(index_path_for(trace).read_text())["chunks"][0]
+        raw = bytearray(trace.read_bytes())
+        middle = chunk["offset"] + chunk["length"] // 2
+        for i in range(middle, middle + 16):
+            raw[i] ^= 0xFF
+        trace.write_bytes(bytes(raw))
+        out = tmp_path / "sliced.pastatrace"
+        # Which check trips (inflate or the member CRC) depends on the bytes,
+        # and those on the process-wide device numbering.
+        with pytest.raises((zlib.error, TraceFormatError)) as failure:
+            TraceReader(trace).slice_to(out)
+        # The writer saw the slice fail, so the output must not claim to be
+        # a complete (empty) trace.
+        sliced = TraceReader(out)
+        assert sliced.footer.complete is False
+        assert sliced.footer.abort_reason == (
+            f"{type(failure.value).__name__}: {failure.value}")
+        with pytest.raises(TraceError, match="incomplete"):
+            list(sliced.events())
+
     def test_schema_mismatch_raises(self, tmp_path):
         path = tmp_path / "t.pastatrace"
         header = make_header()
@@ -598,12 +622,15 @@ class TestRecordReplayParity:
         assert replay_trace(fine, tools=[FineTool()]).events_replayed > 0
 
     def test_crashed_recording_is_marked_incomplete(self, tmp_path, a100_runtime):
+        # The session only taps the writer; the writer's owner (this test
+        # here, the runner in a profile) aborts it when the body raises.
         trace = tmp_path / "t.pastatrace"
-        session = PastaSession(a100_runtime, record_to=trace)
         with pytest.raises(RuntimeError):
-            with session:
-                session.begin_region("r")
-                raise RuntimeError("workload died")
+            with TraceWriter(trace, make_header()) as writer:
+                session = PastaSession(a100_runtime, trace_writer=writer)
+                with session:
+                    session.begin_region("r")
+                    raise RuntimeError("workload died")
         reader = TraceReader(trace)
         assert reader.footer.complete is False
         assert "workload died" in reader.footer.abort_reason
@@ -615,15 +642,37 @@ class TestRecordReplayParity:
         partial = TraceReader(trace, allow_incomplete=True)
         assert [e.label for e in partial.events()] == ["r"]
 
+    def test_tool_failure_mid_run_leaves_an_incomplete_trace(self, tmp_path):
+        class ExplodingTool(KernelFrequencyTool):
+            tool_name = "exploding"
+
+            def on_kernel_launch(self, event):
+                super().on_kernel_launch(event)
+                if self.total_launches == 3:
+                    raise RuntimeError("tool died mid-run")
+
+        trace = tmp_path / "t.pastatrace"
+        spec = api.ProfileSpec(model="alexnet", batch_size=2)
+        with pytest.raises(RuntimeError, match="tool died"):
+            api.execute(spec, extra_tools=[ExplodingTool()], record_to=trace)
+        partial = TraceReader(trace, allow_incomplete=True)
+        assert partial.footer.complete is False
+        assert partial.footer.abort_reason == "RuntimeError: tool died mid-run"
+        assert partial.footer.category_counts["kernel_launch"] == 3
+        assert partial.verify()
+        with pytest.raises(TraceError, match="incomplete"):
+            list(TraceReader(trace).events())
+
     def test_session_trace_lifecycle(self, tmp_path, a100_runtime):
         trace = tmp_path / "t.pastatrace"
-        session = PastaSession(a100_runtime, tools=[KernelFrequencyTool()],
-                               record_to=trace, trace_metadata={"note": "unit"})
-        assert session.trace_path == trace
-        with session:
-            assert session.is_recording
-            session.begin_region("r")
-            session.end_region("r")
+        with TraceWriter(trace, make_header(workload={"note": "unit"})) as writer:
+            session = PastaSession(a100_runtime, tools=[KernelFrequencyTool()],
+                                   trace_writer=writer)
+            assert session.trace_path == trace
+            with session:
+                assert session.is_recording
+                session.begin_region("r")
+                session.end_region("r")
         assert not session.is_recording
         reader = TraceReader(trace)
         assert reader.header.workload == {"note": "unit"}

@@ -33,6 +33,10 @@ CASES = {
         model="megatron_gpt2_345m", mode="train", iterations=1, batch_size=2,
         parallelism={"strategy": "tp", "world_size": 2}, tools=["kernel_frequency"],
     ),
+    "tp_record_to": dict(
+        model="megatron_gpt2_345m", mode="train", iterations=1, batch_size=2,
+        parallelism={"strategy": "tp", "world_size": 2}, tools=["kernel_frequency"],
+    ),
 }
 
 
@@ -50,7 +54,7 @@ def _weak_run_parts(result) -> dict[str, weakref.ref]:
 @pytest.mark.parametrize("case", list(CASES))
 def test_dropping_the_result_frees_the_run(case, tmp_path):
     kwargs = dict(CASES[case])
-    if case == "record_to":
+    if case.endswith("record_to"):
         kwargs["record_to"] = tmp_path / "run.pastatrace"
     gc.collect()
     gc.disable()
