@@ -49,6 +49,7 @@ from repro.vendors import ProfilingBackend
 
 if TYPE_CHECKING:  # pragma: no cover - repro.replay imports this package
     from repro.replay.format import TraceHeader
+    from repro.replay.writer import MemoryTrace
 
 #: Tool every parallel rank carries implicitly: its per-device timeline is
 #: the per-rank memory profile the cross-rank report aggregates (Figure 15's
@@ -268,7 +269,7 @@ class ParallelReplayResult:
     one multi-GPU trace, aggregated exactly like the live run."""
 
     spec: ProfileSpec
-    trace_path: Path
+    trace_path: Optional[Path]
     rank_results: list[object]  # replay.replayer.ReplayResult per rank
     device_indices: list[int] = field(default_factory=list)
 
@@ -447,7 +448,7 @@ def execute(
     device: Optional[DeviceSpec] = None,
     range_filter: Optional[RangeFilter] = None,
     cost_config: Optional[CostModelConfig] = None,
-    record_to: Union[str, Path, None] = None,
+    record_to: Union[str, Path, "MemoryTrace", None] = None,
 ) -> Union[ProfileResult, ParallelProfileResult]:
     """Simulate ``spec``'s workload under live PASTA sessions, one per rank.
 
@@ -456,7 +457,7 @@ def execute(
     *instances* (``extra_tools``), a custom :class:`DeviceSpec` not in the
     device registry, pre-built range/cost overrides (which otherwise come
     from the spec's knobs), and a ``record_to`` destination overriding the
-    spec's.
+    spec's: a trace file, or a :class:`~repro.replay.writer.MemoryTrace`.
 
     A single-device spec is a one-rank world and returns a
     :class:`ProfileResult`; a spec with a
@@ -500,11 +501,14 @@ def execute(
             overrides = [spec.resolve_overrides() for _ in contexts]
             writer = None
             if record_to is not None:
-                from repro.replay.writer import TraceWriter
+                from repro.replay.writer import MemoryTrace, TraceWriter
 
-                writer = recording.enter_context(TraceWriter(
-                    record_to, _trace_header(spec, contexts, backends, tool_sets[0])
-                ))
+                header = _trace_header(spec, contexts, backends, tool_sets[0])
+                if isinstance(record_to, MemoryTrace):
+                    writer = record_to
+                    writer.header = header
+                else:
+                    writer = recording.enter_context(TraceWriter(record_to, header))
             sessions = []
             for ctx, backend, tools, (spec_range, spec_cost) in zip(
                 contexts, backends, tool_sets, overrides
@@ -684,11 +688,11 @@ def replay(
     cost_config: Optional[CostModelConfig] = None,
     range_filter: Optional[RangeFilter] = None,
     measure_overhead: bool = True,
-    events: Optional[Sequence[object]] = None,
 ):
     """Re-drive a recorded trace offline, configured by the same spec.
 
-    ``trace`` is a path or an open :class:`~repro.replay.reader.TraceReader`.
+    ``trace`` is a path, an open :class:`~repro.replay.reader.TraceReader`,
+    or a :class:`~repro.replay.writer.MemoryTrace` (replayed with no decode).
     With a ``spec``, the replayed tool set, analysis model and knob
     overrides come from it — replaying the spec that recorded a trace
     reproduces the live session's reports byte for byte.  Explicit keyword
@@ -707,6 +711,7 @@ def replay(
     # module importable without it avoids a hard import cycle.
     from repro.replay.reader import TraceReader
     from repro.replay.replayer import TraceReplayer
+    from repro.replay.writer import MemoryTrace
 
     parallelism = None if spec is None else spec.parallelism
     if parallelism is not None and (
@@ -725,7 +730,7 @@ def replay(
         names = names or spec.tools
         if analysis_model is None:
             analysis_model = spec.analysis_model
-    reader = trace if isinstance(trace, TraceReader) else TraceReader(trace)  # type: ignore[arg-type]
+    reader = trace if isinstance(trace, (TraceReader, MemoryTrace)) else TraceReader(trace)  # type: ignore[arg-type]
     # (device index, device spec, instrumentation) per rank.  The one rank of
     # a single-device replay keeps the header's device and instrumentation
     # and streams every event.
@@ -752,21 +757,19 @@ def replay(
                 device_indices, parallelism.resolved_devices(spec.device), instrumentation  # type: ignore[union-attr]
             )
         ]
-        if events is None:
-            events = list(reader.events())  # decoded once, sliced per rank
+        events = list(reader.events())  # read once, sliced per rank
     results = []
     for device_index, device_spec, rank_instrumentation in ranks:
         spec_range, spec_cost = (None, None) if spec is None else spec.resolve_overrides()
         results.append(TraceReplayer(
-            reader,
+            reader if device_index is None else MemoryTrace(reader.header, [
+                e for e in events if e.device_index == device_index  # type: ignore[union-attr, attr-defined]
+            ]),
             tools=_rank_tools(names, parallelism, instances),
             analysis_model=analysis_model,
             cost_config=cost_config if cost_config is not None else spec_cost,  # type: ignore[arg-type]
             range_filter=range_filter if range_filter is not None else spec_range,  # type: ignore[arg-type]
             measure_overhead=measure_overhead,
-            events=events if device_index is None else [
-                e for e in events if e.device_index == device_index  # type: ignore[union-attr, attr-defined]
-            ],
             device_spec=device_spec,
             instrumentation=rank_instrumentation,
         ).run())
@@ -820,9 +823,10 @@ def workload_signature(payload: Mapping[str, object]) -> tuple[object, ...]:
 
 
 def record_workload_trace(
-    payload: Mapping[str, object], trace_path: Union[str, Path]
+    payload: Mapping[str, object], record_to: Union[str, Path, "MemoryTrace"]
 ) -> dict[str, object]:
-    """Simulate a payload's workload once, recording every event to ``trace_path``.
+    """Simulate a payload's workload once, recording every event to
+    ``record_to`` (a trace file, or a :class:`~repro.replay.writer.MemoryTrace`).
 
     The recording run attaches no tools and no knob overrides so the trace
     carries the complete event stream; any spec with the same
@@ -830,15 +834,13 @@ def record_workload_trace(
     Returns the JSON-native run summary shared by every job of the group.
     """
     spec = ProfileSpec.from_dict(payload)
-    fine_grained = spec.needs_fine_grained()
     base = spec.replace(
         tools=(),
         knobs=(),
         analysis_model="gpu_resident",
-        fine_grained=fine_grained,
-        record_to=str(trace_path),
+        fine_grained=spec.needs_fine_grained(),
     )
-    result = execute(base)
+    result = execute(base, record_to=record_to)
     return json_sanitize(result.summary.as_dict())
 
 
@@ -846,18 +848,17 @@ def replay_payload(
     payload: Mapping[str, object],
     trace: object,
     summary: Mapping[str, object],
-    events: Optional[Sequence[object]] = None,
 ) -> dict[str, object]:
     """Answer one job by replaying a recorded workload trace.
 
     Produces a record with the same shape (and, for the shared fields, the
     same values) as :func:`execute_payload`, but without re-simulating: the
-    spec's tools, analysis model and knobs are re-driven offline.  Pass
-    ``events`` (a pre-decoded list) when replaying several jobs from one
-    trace so the decode cost is paid once.
+    spec's tools, analysis model and knobs are re-driven offline.  Pass a
+    :class:`~repro.replay.writer.MemoryTrace` as ``trace`` to replay
+    several jobs from one recording without decoding it.
     """
     spec = ProfileSpec.from_dict(payload)
-    result = replay(trace, spec, events=events)
+    result = replay(trace, spec)
     return json_sanitize({
         "job": dict(payload),
         "status": "ok",

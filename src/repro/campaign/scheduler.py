@@ -18,10 +18,14 @@ Execution modes
 simulation.  ``"replay"`` instead groups the cache-missing jobs by their
 :meth:`~repro.api.spec.ProfileSpec.workload_signature` — the identity of the
 underlying simulation, ignoring tools, analysis model and knobs — records each
-distinct workload **once** as a trace (:mod:`repro.replay`), and answers every
-job in the group by offline replay.  A grid sweeping N tool/analysis-model
-combinations over one workload therefore simulates once instead of N times,
-while producing the same records.
+distinct workload **once** into memory (a
+:class:`~repro.replay.writer.MemoryTrace`), and answers every job in the
+group by offline replay of those events.  A grid sweeping N
+tool/analysis-model combinations over one workload therefore simulates once
+instead of N times, while producing the same records.  Both modes run
+*tasks* — one job, or one workload group — through the same executor, so
+the pool width, executor kind, timeout, retries and failure policy govern
+both alike.
 
 The distributed fabric
 ----------------------
@@ -57,7 +61,6 @@ attempt in :class:`JobOutcome` and on the progress stream.
 from __future__ import annotations
 
 import random
-import tempfile
 import threading
 import time
 import traceback
@@ -67,7 +70,6 @@ from concurrent.futures import (
     Future,
     ProcessPoolExecutor,
     ThreadPoolExecutor,
-    TimeoutError as FutureTimeoutError,
     wait,
 )
 from dataclasses import dataclass, field
@@ -96,7 +98,7 @@ from repro.core.serialization import json_sanitize
 from repro.errors import ReproError
 from repro.obs.metrics import DURATION_BUCKETS_S
 from repro.obs.telemetry import active as _active_telemetry
-from repro.replay.reader import TraceReader
+from repro.replay.writer import MemoryTrace
 
 #: Signature of a job runner: canonical job dict in, JSON-native record out.
 JobRunner = Callable[[dict[str, object]], dict[str, object]]
@@ -233,15 +235,58 @@ def _run_with_retries(
             return record
 
 
-def _run_default_with_retries(
-    payload: dict[str, object],
+@dataclass
+class _Task:
+    """One unit of executor work: a simulate-mode job, or a replay-mode
+    workload group whose members share one recording."""
+
+    entries: list[tuple[int, ProfileSpec, str]]
+    replay: bool = False
+    trace_path: Optional[str] = None
+
+
+def _run_task(
+    payloads: list[dict[str, object]],
+    replay: bool,
+    trace_path: Optional[str],
+    runner: JobRunner,
     retries: int,
-    backoff_s: float = 0.0,
-    backoff_cap_s: float = 30.0,
-) -> dict[str, object]:
-    """Module-level (picklable) wrapper used by the process-pool executor."""
-    return _run_with_retries(payload, retries, execute_payload,
-                             backoff_s=backoff_s, backoff_cap_s=backoff_cap_s)
+    backoff_s: float,
+    backoff_cap_s: float,
+) -> list[dict[str, object]]:
+    """Run one task and return one record per member.
+
+    A simulate-mode task is one job, run by ``runner``.  A replay-mode task
+    is one workload group: its workload is simulated once into a
+    :class:`~repro.replay.writer.MemoryTrace` (saved to ``trace_path`` when
+    given) and every member is replayed from those events.  Retries cover
+    the job or the recording; a group's members carry the recording's
+    ``attempts``/``attempt_errors``, and a member whose replay raises gets a
+    ``"failed"`` record and fails alone.  Module-level, so process pools can
+    pickle it.
+    """
+    if not replay:
+        return [_run_with_retries(payloads[0], retries, runner, backoff_s, backoff_cap_s)]
+    trace = MemoryTrace()
+
+    def record(payload: dict[str, object]) -> dict[str, object]:
+        nonlocal trace
+        trace = MemoryTrace()  # every attempt records from scratch
+        summary = record_workload_trace(payload, trace)
+        if trace_path is not None:
+            trace.save(trace_path)
+        return summary
+
+    summary = _run_with_retries(payloads[0], retries, record, backoff_s, backoff_cap_s)
+    retry_keys = {key: summary.pop(key) for key in ("attempts", "attempt_errors") if key in summary}
+    records = []
+    for payload in payloads:
+        try:
+            records.append({**replay_payload(payload, trace, summary), **retry_keys})
+        except Exception as error:
+            records.append({"status": "failed", "error": f"replay failed: {_error_detail(error)}",
+                            "attempt_errors": _errors_of(error)})
+    return records
 
 
 @dataclass
@@ -284,8 +329,9 @@ class CampaignRunResult:
     duration_s: float = 0.0
     #: Execution mode the run used ("simulate" or "replay").
     execution: str = "simulate"
-    #: Distinct workloads actually simulated (and recorded) in replay mode;
-    #: equals :attr:`executed` in simulate mode.
+    #: Simulations that completed: in replay mode one per workload group
+    #: whose recording finished (plus any job simulated on its own); equals
+    #: :attr:`executed` in simulate mode.
     workloads_recorded: int = 0
 
     @property
@@ -368,8 +414,9 @@ class CampaignScheduler:
         ``"thread"`` (default), ``"process"`` (true parallelism, requires the
         default picklable runner), or ``"serial"``.
     timeout_s:
-        Per-job wall-clock budget.  A job exceeding it is recorded as
-        ``"timeout"`` and the campaign moves on.
+        Per-task wall-clock budget: per job in simulate mode, per workload
+        group in replay mode.  Every job of a task exceeding it is recorded
+        as ``"timeout"`` and the campaign moves on.
     retries:
         Re-attempts per job before recording a failure.
     backoff_s / backoff_cap_s:
@@ -395,22 +442,24 @@ class CampaignScheduler:
         ``"isolate"`` (default), ``"fail_fast"``, or ``"degrade"`` — see the
         module docstring.
     job_runner:
-        Override the job execution function (tests inject stubs here).
-        Ignored by the process executor, which always uses the default
-        picklable runner, and by replay-mode execution.
+        Override the function that runs one simulated job (tests inject
+        stubs here); the process executor needs the default picklable
+        runner.  Replay-mode workload groups never call it.
     execution:
         ``"simulate"``, ``"replay"``, or ``None`` to honour the campaign
         spec's ``execution`` field (explicit job lists default to simulate).
-        Replay mode runs inline (one recording then cheap in-memory replays
-        per workload group): ``jobs``/``executor`` and ``timeout_s`` apply
-        only to simulate-mode execution, while ``retries`` covers the
-        recording step.  Jobs whose spec sets ``record_to`` are always
-        simulated, even in replay mode — they need a live event stream to
-        produce their trace artifact.  Work-stolen jobs are likewise always
-        simulated (a stolen cell has no recorded group trace to share).
+        A replay-mode task is one workload group: one recording into memory,
+        then one replay per job, on the same executor as simulate mode, so
+        ``jobs``/``executor``, ``timeout_s`` and the failure policies apply
+        per group and ``retries`` cover the recording.  Jobs whose spec sets
+        ``record_to`` are always simulated, even in replay mode — they need
+        a live event stream to produce their trace artifact.  Work-stolen
+        jobs are likewise always simulated (a stolen cell has no recorded
+        group to share).
     trace_dir:
-        Where replay-mode workload traces are written; defaults to a
-        temporary directory discarded after the run.
+        Where replay mode saves each workload group's recording, as
+        ``workload-NNNN.pastatrace`` once the recording finishes; with the
+        default ``None`` nothing is written.
     progress:
         Optional :class:`~repro.campaign.progress.ProgressWriter` streaming
         job lifecycle records (queued/started/retried/finished with cache
@@ -492,6 +541,8 @@ class CampaignScheduler:
         self._progress: Union[ProgressWriter, NullProgress] = NULL_PROGRESS
         #: Set to the abort reason once :meth:`abort` fires.
         self._abort: Optional[str] = None
+        #: Simulations completed in the current run (``workloads_recorded``).
+        self._simulated = 0
 
     # ------------------------------------------------------------------ #
     # public API
@@ -518,6 +569,7 @@ class CampaignScheduler:
         telemetry = _active_telemetry()
         telemetry.annotate(campaign=campaign_name, execution=execution)
         self._abort = None
+        self._simulated = 0
         self._progress = (
             self.progress if self.progress is not None else active_progress()
         )
@@ -538,7 +590,6 @@ class CampaignScheduler:
         ) as campaign_span:
             outcomes: dict[int, JobOutcome] = {}
             pending: list[tuple[int, ProfileSpec, str]] = []
-            workloads_recorded = 0
 
             for index, job in enumerate(job_list):
                 digest = job.digest(self.version)
@@ -571,13 +622,9 @@ class CampaignScheduler:
                     pending.append((index, job, digest))
 
             if self.leases is not None:
-                workloads_recorded = self._run_leased(
-                    pending, outcomes, campaign_name, execution
-                )
+                self._run_leased(pending, outcomes, campaign_name, execution)
             else:
-                workloads_recorded = self._run_pending(
-                    pending, outcomes, campaign_name, execution
-                )
+                self._run_pending(pending, outcomes, campaign_name, execution)
             for status in _ALL_STATUSES:
                 campaign_span.set_counter(
                     f"jobs_{status}",
@@ -588,9 +635,7 @@ class CampaignScheduler:
             outcomes=[outcomes[i] for i in range(len(job_list))],
             duration_s=time.monotonic() - started,
             execution=execution,
-        )
-        result.workloads_recorded = (
-            workloads_recorded if execution == "replay" else result.executed
+            workloads_recorded=self._simulated,
         )
         self._progress.emit(
             "campaign", event="end", campaign=campaign_name,
@@ -600,9 +645,10 @@ class CampaignScheduler:
         return result
 
     def abort(self, reason: str) -> None:
-        """Stop the running campaign between jobs: running jobs finish, the
-        rest end ``"skipped"``.  The first reason wins.  Used by ``fail_fast``
-        and by ``pasta serve`` cancels (from a progress sink)."""
+        """Stop the running campaign between tasks: running tasks (a job, or
+        a replay-mode workload group) finish, the rest end ``"skipped"``.
+        The first reason wins.  Used by ``fail_fast`` and by ``pasta serve``
+        cancels (from a progress sink)."""
         if self._abort is None:
             self._abort = reason
 
@@ -631,53 +677,52 @@ class CampaignScheduler:
         outcomes: dict[int, JobOutcome],
         campaign_name: str,
         execution: str,
-    ) -> int:
-        """Execute the cache-missing jobs; returns the workloads recorded."""
-        workloads_recorded = 0
-        if self._abort is not None:
-            self._skip_remaining(pending, outcomes, campaign_name)
-            return 0
-        if pending and execution == "replay":
-            # A job that asks for its own trace artifact needs a live event
-            # stream to record — replaying the shared group trace would
-            # complete it without ever writing the file.  Such jobs are
-            # simulated (with the default runner, like the rest of replay
-            # mode); everything else goes through record-once/replay-many.
-            recordings = [entry for entry in pending if entry[1].record_to is not None]
-            replayable = [entry for entry in pending if entry[1].record_to is None]
-            for position, (index, job, digest) in enumerate(recordings):
-                if self._abort is not None:
-                    self._skip_remaining(recordings[position:], outcomes, campaign_name)
-                    return workloads_recorded
-                self._emit_job(index, job, digest, "started")
-                self._record_outcome(
-                    outcomes, index,
-                    self._run_one_inline(job, digest, runner=execute_payload),
-                    campaign_name,
+    ) -> None:
+        """Execute the cache-missing jobs as tasks, inline or on the pool."""
+        tasks = self._tasks(pending, outcomes, campaign_name, execution)
+        # The inline path cannot interrupt a task, so any timeout budget
+        # forces a (possibly single-worker) pool.
+        if self.timeout_s is None and (
+            self.executor == "serial" or (self.executor == "thread" and self.jobs == 1)
+        ):
+            self._run_inline(tasks, outcomes, campaign_name)
+        else:
+            self._run_pool(tasks, outcomes, campaign_name)
+
+    def _tasks(
+        self,
+        pending: list[tuple[int, ProfileSpec, str]],
+        outcomes: dict[int, JobOutcome],
+        campaign_name: str,
+        execution: str,
+    ) -> list[_Task]:
+        """One task per job, except that replay mode groups the jobs that
+        share a workload (but not those that set ``record_to``: they need a
+        live event stream to write their own trace)."""
+        tasks: list[_Task] = []
+        groups: dict[tuple[object, ...], _Task] = {}
+        for index, job, digest in pending:
+            if execution == "simulate" or job.record_to is not None:
+                tasks.append(_Task([(index, job, digest)]))
+                continue
+            try:
+                # Instantiates the job's tools (to learn their fine-grained
+                # needs), so an unknown tool name must fail this job alone.
+                signature = job.workload_signature()
+            except Exception as error:
+                self._record_outcome(outcomes, index, JobOutcome(
+                    job=job, digest=digest, status="failed",
+                    error=_error_detail(error),
+                ), campaign_name)
+                continue
+            if signature not in groups:
+                trace_path = None if self.trace_dir is None else str(
+                    Path(self.trace_dir) / f"workload-{len(groups):04d}.pastatrace"
                 )
-            workloads_recorded = len(recordings)
-            if replayable:
-                workloads_recorded += self._run_replay(
-                    replayable, outcomes, campaign_name
-                )
-        elif pending:
-            # The inline path cannot interrupt a job, so any timeout budget
-            # forces a (possibly single-worker) pool.
-            inline = self.timeout_s is None and (
-                self.executor == "serial" or (self.executor == "thread" and self.jobs == 1)
-            )
-            if inline:
-                for position, (index, job, digest) in enumerate(pending):
-                    if self._abort is not None:
-                        self._skip_remaining(pending[position:], outcomes, campaign_name)
-                        break
-                    self._emit_job(index, job, digest, "started")
-                    self._record_outcome(
-                        outcomes, index, self._run_one_inline(job, digest), campaign_name
-                    )
-            else:
-                self._run_pool(pending, outcomes, campaign_name)
-        return workloads_recorded
+                groups[signature] = _Task([], replay=True, trace_path=trace_path)
+                tasks.append(groups[signature])
+            groups[signature].entries.append((index, job, digest))
+        return tasks
 
     # ------------------------------------------------------------------ #
     # the distributed fabric
@@ -688,7 +733,7 @@ class CampaignScheduler:
         outcomes: dict[int, JobOutcome],
         campaign_name: str,
         execution: str,
-    ) -> int:
+    ) -> None:
         """Lease-gated execution: claim own shard, run it, then work-steal."""
         assert self.leases is not None
         shard_index, shard_count = self.shard if self.shard is not None else (0, 1)
@@ -720,13 +765,12 @@ class CampaignScheduler:
         )
         beater.start()
         try:
-            recorded = self._run_pending(claimed, outcomes, campaign_name, execution)
+            self._run_pending(claimed, outcomes, campaign_name, execution)
             self._steal_phase(theirs, outcomes, campaign_name)
         finally:
             stop_beating.set()
             beater.join(timeout=5.0)
             self.leases.release_all()
-        return recorded
 
     def _heartbeat_loop(self, stop: threading.Event) -> None:
         assert self.leases is not None
@@ -785,10 +829,9 @@ class CampaignScheduler:
                         digest,
                     )
                     telemetry.counter("campaign.jobs_stolen").inc()
-                    self._emit_job(index, job, digest, "started")
-                    outcome = self._run_one_inline(job, digest)
-                    outcome.stolen = True
-                    self._record_outcome(outcomes, index, outcome, campaign_name)
+                    self._run_inline(
+                        [_Task([(index, job, digest)])], outcomes, campaign_name, stolen=True
+                    )
                     progressed = True
                     continue
                 unresolved.append((index, job, digest))
@@ -843,134 +886,41 @@ class CampaignScheduler:
     # ------------------------------------------------------------------ #
     # execution strategies
     # ------------------------------------------------------------------ #
-    def _run_replay(
+    def _task_args(self, task: _Task) -> tuple[object, ...]:
+        """:func:`_run_task`'s arguments for ``task``, picklable for process pools."""
+        return (
+            [job.to_dict() for _, job, _ in task.entries], task.replay, task.trace_path,
+            self.job_runner, self.retries, self.backoff_s, self.backoff_cap_s,
+        )
+
+    def _run_inline(
         self,
-        pending: list[tuple[int, ProfileSpec, str]],
+        tasks: list[_Task],
         outcomes: dict[int, JobOutcome],
         campaign_name: str,
-    ) -> int:
-        """Record each distinct workload once, then replay it per job.
-
-        Returns the number of workloads actually simulated.  Failure
-        isolation matches the simulate path: a failed recording fails every
-        job of its group (they have nothing to replay), a failed replay
-        fails only its own job.  Execution is inline and serial — replays
-        are in-memory and cheap, so the worker pool and its per-job timeout
-        machinery are simulate-mode concerns (see the class docstring).
-        """
-        groups: dict[tuple[object, ...], list[tuple[int, ProfileSpec, str]]] = {}
-        order: list[tuple[object, ...]] = []
-        for index, job, digest in pending:
+        stolen: bool = False,
+    ) -> None:
+        """Run ``tasks`` one after another in the calling thread."""
+        for position, task in enumerate(tasks):
+            if self._abort is not None:
+                self._skip_remaining(
+                    [entry for rest in tasks[position:] for entry in rest.entries],
+                    outcomes, campaign_name,
+                )
+                return
+            for index, job, digest in task.entries:
+                self._emit_job(index, job, digest, "started")
+            started = time.monotonic()
             try:
-                # Instantiates the job's tools (to learn their fine-grained
-                # needs), so an unknown tool name must fail this job alone.
-                signature = job.workload_signature()
+                value: Union[list[dict[str, object]], Exception] = _run_task(*self._task_args(task))
             except Exception as error:
-                self._record_outcome(outcomes, index, JobOutcome(
-                    job=job, digest=digest, status="failed",
-                    error=_error_detail(error),
-                ), campaign_name)
-                continue
-            if signature not in groups:
-                groups[signature] = []
-                order.append(signature)
-            groups[signature].append((index, job, digest))
-
-        recorded = 0
-        with tempfile.TemporaryDirectory(prefix="pasta-traces-") as scratch:
-            trace_root = Path(self.trace_dir) if self.trace_dir is not None else Path(scratch)
-            trace_root.mkdir(parents=True, exist_ok=True)
-            for group_index, signature in enumerate(order):
-                members = groups[signature]
-                if self._abort is not None:
-                    self._skip_remaining(members, outcomes, campaign_name)
-                    continue
-                base_payload = members[0][1].to_dict()
-                trace_path = trace_root / f"workload-{group_index:04d}.pastatrace"
-                started = time.monotonic()
-                try:
-                    summary = _run_with_retries(
-                        base_payload, self.retries,
-                        lambda payload: record_workload_trace(payload, trace_path),
-                        backoff_s=self.backoff_s, backoff_cap_s=self.backoff_cap_s,
-                    )
-                    summary.pop("attempts", None)
-                except Exception as error:
-                    duration = time.monotonic() - started
-                    for index, job, digest in members:
-                        self._record_outcome(outcomes, index, JobOutcome(
-                            job=job, digest=digest, status="failed",
-                            error=f"workload recording failed: "
-                                  f"{_error_detail(error)}",
-                            attempts=self.retries + 1,
-                            duration_s=duration,
-                            errors=_errors_of(error),
-                        ), campaign_name)
-                    continue
-                recorded += 1
-                # Decode the trace once; every job in the group replays the
-                # same in-memory event list.
-                reader = TraceReader(trace_path)
-                events = list(reader.events())
-                for position, (index, job, digest) in enumerate(members):
-                    if self._abort is not None:
-                        self._skip_remaining(members[position:], outcomes, campaign_name)
-                        break
-                    self._emit_job(index, job, digest, "started")
-                    job_started = time.monotonic()
-                    try:
-                        record = replay_payload(job.to_dict(), reader, summary,
-                                                    events=events)
-                    except Exception as error:
-                        self._record_outcome(outcomes, index, JobOutcome(
-                            job=job, digest=digest, status="failed",
-                            error=f"replay failed: {_error_detail(error)}",
-                            duration_s=time.monotonic() - job_started,
-                            errors=_errors_of(error),
-                        ), campaign_name)
-                    else:
-                        self._record_outcome(
-                            outcomes, index,
-                            self._ok_outcome(job, digest, record,
-                                             time.monotonic() - job_started),
-                            campaign_name,
-                        )
-        return recorded
-
-    def _run_one_inline(
-        self, job: ProfileSpec, digest: str, runner: Optional[JobRunner] = None
-    ) -> JobOutcome:
-        job_started = time.monotonic()
-        try:
-            record = _run_with_retries(job.to_dict(), self.retries,
-                                       runner or self.job_runner,
-                                       backoff_s=self.backoff_s,
-                                       backoff_cap_s=self.backoff_cap_s)
-        except Exception as error:
-            return JobOutcome(
-                job=job,
-                digest=digest,
-                status="failed",
-                error=_error_detail(error),
-                attempts=self.retries + 1,
-                duration_s=time.monotonic() - job_started,
-                errors=_errors_of(error),
-                backoff_s=_backoff_total(_errors_of(error)),
-            )
-        return self._ok_outcome(job, digest, record, time.monotonic() - job_started)
+                value = error
+            self._finish(task, value, time.monotonic() - started, outcomes, campaign_name, stolen)
 
     def _make_pool(self) -> Executor:
         if self.executor == "process":
             return ProcessPoolExecutor(max_workers=self.jobs)
         return ThreadPoolExecutor(max_workers=self.jobs, thread_name_prefix="pasta-campaign")
-
-    def _submit(self, pool: Executor, job: ProfileSpec) -> Future:
-        payload = job.to_dict()
-        if self.executor == "process":
-            return pool.submit(_run_default_with_retries, payload, self.retries,
-                               self.backoff_s, self.backoff_cap_s)
-        return pool.submit(_run_with_retries, payload, self.retries, self.job_runner,
-                           self.backoff_s, self.backoff_cap_s)
 
     def _wait_slice(self) -> Optional[float]:
         if self.timeout_s is None:
@@ -979,19 +929,19 @@ class CampaignScheduler:
 
     def _run_pool(
         self,
-        pending: list[tuple[int, ProfileSpec, str]],
+        tasks: list[_Task],
         outcomes: dict[int, JobOutcome],
         campaign_name: str,
     ) -> None:
         # At most `slots` futures are in flight at once, so every submitted
-        # future starts immediately on a free worker and its per-job clock
-        # starts at submission.  A timed-out job's worker may be unkillable
+        # future starts immediately on a free worker and its per-task clock
+        # starts at submission.  A timed-out task's worker may be unkillable
         # (threads and busy processes can't be interrupted); its slot is
-        # retired so later jobs never queue behind a hung worker, and the
-        # final shutdown does not wait for abandoned jobs.
+        # retired so later tasks never queue behind a hung worker, and the
+        # final shutdown does not wait for abandoned tasks.
         pool = self._make_pool()
-        queue = list(pending)
-        in_flight: dict[Future, tuple[int, ProfileSpec, str, float]] = {}
+        queue = list(tasks)
+        in_flight: dict[Future, tuple[_Task, float]] = {}
         slots = self.jobs
         telemetry = _active_telemetry()
         queue_depth = telemetry.gauge("campaign.queue_depth")
@@ -999,13 +949,18 @@ class CampaignScheduler:
         try:
             while queue or in_flight:
                 if self._abort is not None and queue:
-                    # fail_fast: nothing new starts; in-flight jobs drain.
-                    self._skip_remaining(queue, outcomes, campaign_name)
+                    # fail_fast: nothing new starts; in-flight tasks drain.
+                    self._skip_remaining(
+                        [entry for task in queue for entry in task.entries],
+                        outcomes, campaign_name,
+                    )
                     queue = []
                 while queue and len(in_flight) < slots:
-                    index, job, digest = queue.pop(0)
-                    self._emit_job(index, job, digest, "started")
-                    in_flight[self._submit(pool, job)] = (index, job, digest, time.monotonic())
+                    task = queue.pop(0)
+                    for index, job, digest in task.entries:
+                        self._emit_job(index, job, digest, "started")
+                    future = pool.submit(_run_task, *self._task_args(task))
+                    in_flight[future] = (task, time.monotonic())
                 queue_depth.set(len(queue))
                 in_flight_gauge.set(len(in_flight))
                 if not in_flight:
@@ -1015,60 +970,69 @@ class CampaignScheduler:
                 )
                 now = time.monotonic()
                 for future in done:
-                    index, job, digest, started = in_flight.pop(future)
-                    self._record_outcome(
-                        outcomes, index,
-                        self._outcome_from_future(future, job, digest, now - started),
-                        campaign_name,
-                    )
+                    task, started = in_flight.pop(future)
+                    error = future.exception()
+                    self._finish(task, error if error is not None else future.result(),
+                                 now - started, outcomes, campaign_name)
                 if self.timeout_s is None:
                     continue
                 for future in list(in_flight):
-                    index, job, digest, started = in_flight[future]
+                    task, started = in_flight[future]
                     if now - started <= self.timeout_s:
                         continue
                     del in_flight[future]
                     if not future.cancel():
                         slots -= 1  # running and unkillable: retire its worker
+                    for index, job, digest in task.entries:
+                        self._record_outcome(outcomes, index, JobOutcome(
+                            job=job,
+                            digest=digest,
+                            status="timeout",
+                            error=f"job exceeded timeout of {self.timeout_s}s",
+                            duration_s=now - started,
+                        ), campaign_name)
+            for task in queue:
+                for index, job, digest in task.entries:
                     self._record_outcome(outcomes, index, JobOutcome(
                         job=job,
                         digest=digest,
-                        status="timeout",
-                        error=f"job exceeded timeout of {self.timeout_s}s",
-                        duration_s=now - started,
+                        status="failed",
+                        error="job never started: all workers lost to timed-out jobs",
                     ), campaign_name)
-            for index, job, digest in queue:
-                self._record_outcome(outcomes, index, JobOutcome(
-                    job=job,
-                    digest=digest,
-                    status="failed",
-                    error="job never started: all workers lost to timed-out jobs",
-                ), campaign_name)
         finally:
             pool.shutdown(wait=False, cancel_futures=True)
 
-    def _outcome_from_future(
-        self, future: Future, job: ProfileSpec, digest: str, duration_s: float
-    ) -> JobOutcome:
-        try:
-            record = future.result(timeout=0)
-        except FutureTimeoutError:
-            return JobOutcome(
-                job=job, digest=digest, status="timeout",
-                error=f"job exceeded timeout of {self.timeout_s}s",
-                duration_s=duration_s,
-            )
-        except Exception as error:
-            detail = _error_detail(error)
-            if not str(error):
-                detail = "".join(traceback.format_exception_only(type(error), error)).strip()
-            return JobOutcome(
-                job=job, digest=digest, status="failed", error=detail,
-                attempts=self.retries + 1, duration_s=duration_s,
-                errors=_errors_of(error),
-                backoff_s=_backoff_total(_errors_of(error)),
-            )
-        return self._ok_outcome(job, digest, record, duration_s)
+    def _finish(
+        self,
+        task: _Task,
+        value: Union[list[dict[str, object]], BaseException],
+        duration_s: float,
+        outcomes: dict[int, JobOutcome],
+        campaign_name: str,
+        stolen: bool = False,
+    ) -> None:
+        """Record every job of a finished task from the records
+        :func:`_run_task` returned, or from the error it raised (a replay
+        group's failed recording fails all its jobs).  The members of a group
+        report together, each with the group's duration."""
+        if not isinstance(value, BaseException):
+            self._simulated += 1
+        for position, (index, job, digest) in enumerate(task.entries):
+            if isinstance(value, BaseException):
+                errors = _errors_of(value)
+                outcome = JobOutcome(
+                    job=job, digest=digest, status="failed",
+                    error=("workload recording failed: " if task.replay else "")
+                    + _error_detail(value),
+                    attempts=self.retries + 1, duration_s=duration_s,
+                    errors=errors, backoff_s=_backoff_total(errors),
+                )
+            else:
+                outcome = self._outcome_of(job, digest, value[position], duration_s)
+            if position:
+                outcome.backoff_s = 0.0  # a group sleeps once: its first job reports it
+            outcome.stolen = stolen
+            self._record_outcome(outcomes, index, outcome, campaign_name)
 
     # ------------------------------------------------------------------ #
     # graceful degradation
@@ -1136,20 +1100,23 @@ class CampaignScheduler:
             "lease", event=event, digest=digest[:12], owner=self.leases.owner
         )
 
-    def _ok_outcome(
+    def _outcome_of(
         self, job: ProfileSpec, digest: str, record: dict[str, object], duration_s: float
     ) -> JobOutcome:
-        attempts = int(record.get("attempts", 1))  # type: ignore[arg-type]
-        record = dict(record)
-        record["digest"] = digest
-        record["version"] = self.version
+        """The outcome of one record from :func:`_run_task`: ``"ok"``, or
+        ``"failed"`` for a replay-group member whose replay raised."""
         attempt_errors = record.get("attempt_errors")
         errors = list(attempt_errors) if isinstance(attempt_errors, list) else []
-        return JobOutcome(
-            job=job, digest=digest, status="ok", record=record,
-            attempts=attempts, duration_s=duration_s,
-            errors=errors, backoff_s=_backoff_total(errors),
+        outcome = JobOutcome(
+            job=job, digest=digest, status="ok",
+            attempts=int(record.get("attempts", 1)),  # type: ignore[arg-type]
+            duration_s=duration_s, errors=errors, backoff_s=_backoff_total(errors),
         )
+        if record.get("status") == "failed":
+            outcome.status, outcome.error = "failed", str(record.get("error"))
+        else:
+            outcome.record = {**record, "digest": digest, "version": self.version}
+        return outcome
 
     def _record_outcome(
         self,

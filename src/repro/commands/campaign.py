@@ -121,17 +121,18 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
     run.add_argument("--store", default=None,
                      help="append job records to this JSONL file")
     run.add_argument("--timeout", type=float, default=None,
-                     help="per-job timeout in seconds")
+                     help="per-job timeout in seconds (in replay mode, per "
+                          "workload group)")
     run.add_argument("--retries", type=int, default=0,
                      help="re-attempts per failing job (default: 0)")
     run.add_argument("--execution", choices=["simulate", "replay"], default=None,
                      help="override the spec's execution mode: 'replay' records "
-                          "each distinct workload once and replays it per "
-                          "tool/analysis-model combination (runs inline; "
-                          "--jobs/--executor/--timeout apply to simulate mode)")
+                          "each distinct workload once into memory and replays "
+                          "it per tool/analysis-model combination, one pool "
+                          "task per workload group")
     run.add_argument("--trace-dir", default=None,
-                     help="keep replay-mode workload traces in this directory "
-                          "(default: a discarded temporary directory)")
+                     help="also save each replay-mode workload recording in "
+                          "this directory (default: no trace files)")
     run.add_argument("--retry-backoff", type=float, default=0.0, metavar="S",
                      help="base seconds of exponential backoff (with "
                           "decorrelated jitter) between retry attempts "

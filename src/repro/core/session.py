@@ -47,7 +47,7 @@ from repro.vendors import (
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (replay imports core)
     from repro.core.overhead import OverheadAccountant as _OverheadAccountant
-    from repro.replay.writer import TraceWriter
+    from repro.replay.writer import MemoryTrace, TraceWriter
 
 #: Device memory PASTA reserves for its profiling buffers (Section VI-A).
 PROFILER_RESERVED_BYTES = 4 * MiB
@@ -126,7 +126,7 @@ def _allocator_resolver(allocator: DeviceMemoryAllocator) -> AddressResolver:
     return resolve
 
 
-def _recording_sink(writer: "TraceWriter", processor: PastaEventProcessor) -> EventSink:
+def _recording_sink(writer: Union["TraceWriter", "MemoryTrace"], processor: PastaEventProcessor) -> EventSink:
     """Handler sink tap: persist each event, then submit it as usual."""
 
     def record_and_submit(event: PastaEvent) -> None:
@@ -158,7 +158,7 @@ class PastaSession:
         range_filter: Optional[RangeFilter] = None,
         measure_overhead: bool = True,
         cost_config: Optional[CostModelConfig] = None,
-        trace_writer: Optional["TraceWriter"] = None,
+        trace_writer: Union["TraceWriter", "MemoryTrace", None] = None,
     ) -> None:
         self.runtime = runtime
         self.backend = _make_backend(vendor_backend, runtime)

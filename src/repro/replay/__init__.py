@@ -8,7 +8,8 @@ record-once/analyze-many model of vendor profilers' offline workflows:
   container with a provenance header and a digest-bearing footer;
 * :mod:`repro.replay.writer` — :class:`TraceWriter`, the buffered recording
   tap that ``PastaSession(trace_writer=...)`` installs between the event
-  handler and the event processor;
+  handler and the event processor, and :class:`MemoryTrace`, the same tap
+  kept in memory;
 * :mod:`repro.replay.reader` — :class:`TraceReader`, a streaming reader with
   category / kernel-range / region slicing and a lightweight seek index;
 * :mod:`repro.replay.replayer` — :class:`TraceReplayer`, which re-drives any
@@ -33,12 +34,13 @@ from repro.replay.format import (
 )
 from repro.replay.reader import TraceReader
 from repro.replay.replayer import ReplayResult, TraceAddressResolver, TraceReplayer, replay_trace
-from repro.replay.writer import TraceWriter, index_path_for
+from repro.replay.writer import MemoryTrace, TraceWriter, index_path_for
 
 __all__ = [
     "TRACE_FORMAT_VERSION",
     "TRACE_SUFFIX",
     "EventCodec",
+    "MemoryTrace",
     "ReplayResult",
     "TraceAddressResolver",
     "TraceFooter",

@@ -39,6 +39,7 @@ from repro.gpusim.device import DeviceSpec
 from repro.gpusim.trace import AnalysisModel
 from repro.obs.telemetry import active as _active_telemetry
 from repro.replay.reader import TraceReader
+from repro.replay.writer import MemoryTrace
 
 
 class TraceAddressResolver:
@@ -80,7 +81,7 @@ class TraceAddressResolver:
 class ReplayResult:
     """Everything produced by one offline replay."""
 
-    trace_path: Path
+    trace_path: Optional[Path]  # None for a MemoryTrace
     tools: list[PastaTool]
     processor: PastaEventProcessor
     overhead_accountant: Optional[OverheadAccountant]
@@ -109,7 +110,9 @@ class TraceReplayer:
     Parameters
     ----------
     trace:
-        Path to a trace file, or an open :class:`TraceReader`.
+        Path to a trace file, an open :class:`TraceReader`, or a
+        :class:`~repro.replay.writer.MemoryTrace`, whose events are replayed
+        as they are, with no decode.
     tools:
         Tools to drive (may be empty for an overhead-only replay).
     analysis_model:
@@ -120,12 +123,6 @@ class TraceReplayer:
         Restrict analysis to a kernel-launch window, exactly as live.
     measure_overhead:
         Attach an overhead accountant (mirrors the live session default).
-    events:
-        Pre-decoded event list to replay instead of re-reading the file.
-        When several replays share one trace (the campaign replay mode),
-        decoding once and passing the list here avoids paying the
-        decompress+decode cost per replay; the trace/reader still supplies
-        the header.
     device_spec / instrumentation:
         Override the trace header's device spec / instrumentation backend
         for the overhead accountant.  Multi-GPU traces record one header
@@ -136,19 +133,17 @@ class TraceReplayer:
 
     def __init__(
         self,
-        trace: Union[str, Path, TraceReader],
+        trace: Union[str, Path, TraceReader, MemoryTrace],
         tools: Optional[Sequence[PastaTool]] = None,
         analysis_model: Union[str, AnalysisModel, None] = None,
         cost_config: Optional[CostModelConfig] = None,
         range_filter: Optional[RangeFilter] = None,
         measure_overhead: bool = True,
-        events: Optional[Sequence[object]] = None,
         device_spec: Optional["DeviceSpec"] = None,
         instrumentation: Optional[str] = None,
     ) -> None:
-        self.reader = trace if isinstance(trace, TraceReader) else TraceReader(trace)
+        self.reader = trace if isinstance(trace, (TraceReader, MemoryTrace)) else TraceReader(trace)
         self.tools = list(tools or ())
-        self.events = events
         header = self.reader.header
         self.analysis_model = _make_analysis_model(
             header.analysis_model if analysis_model is None else analysis_model
@@ -195,15 +190,14 @@ class TraceReplayer:
         for tool in self.tools:
             tool.on_session_start()
         events_replayed = 0
-        stream = self.reader.events() if self.events is None else self.events
         with _active_telemetry().span(
             "replay.run",
-            trace=str(self.reader.path),
+            trace=str(self.reader.path or "<memory>"),
             analysis_model=self.analysis_model.value,
             tools=len(self.tools),
         ) as replay_span:
             try:
-                for event in stream:
+                for event in self.reader.events():
                     resolver.observe(event)
                     processor.submit(event)
                     events_replayed += 1
@@ -227,13 +221,12 @@ class TraceReplayer:
 
 
 def replay_trace(
-    trace: Union[str, Path, TraceReader],
+    trace: Union[str, Path, TraceReader, MemoryTrace],
     tools: Optional[Sequence[PastaTool]] = None,
     analysis_model: Union[str, AnalysisModel, None] = None,
     cost_config: Optional[CostModelConfig] = None,
     range_filter: Optional[RangeFilter] = None,
     measure_overhead: bool = True,
-    events: Optional[Sequence[object]] = None,
 ) -> ReplayResult:
     """One-call convenience: build a :class:`TraceReplayer` and run it."""
     return TraceReplayer(
@@ -243,5 +236,4 @@ def replay_trace(
         cost_config=cost_config,
         range_filter=range_filter,
         measure_overhead=measure_overhead,
-        events=events,
     ).run()

@@ -23,7 +23,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from repro.core.events import EventCategory, KernelLaunchEvent, PastaEvent
 from repro.errors import TraceError
@@ -240,3 +240,36 @@ class TraceWriter:
                 self.close()
         except Exception:
             pass
+
+
+class MemoryTrace:
+    """A recording kept in memory: the trace header plus the tapped events.
+
+    ``repro.api.execute(spec, record_to=MemoryTrace())`` fills it through the
+    session tap a :class:`TraceWriter` gets; every replay entry point accepts
+    it as a trace and re-drives its events without a decode (replays only
+    read them, so one recording serves any number of replays).
+    """
+
+    path = None  # no file; the session tap never closes it
+    closed = False
+
+    def __init__(
+        self, header: Optional[TraceHeader] = None, events: Iterable[PastaEvent] = ()
+    ) -> None:
+        self.header = header
+        self._events = list(events)
+
+    def write(self, event: PastaEvent) -> None:
+        """Append one event (the session tap's interface)."""
+        self._events.append(event)
+
+    def events(self) -> Iterator[PastaEvent]:
+        """Every recorded event, in order."""
+        return iter(self._events)
+
+    def save(self, path: Union[str, Path]) -> None:
+        """Encode the recording into a trace file at ``path``."""
+        with TraceWriter(path, self.header) as writer:
+            for event in self._events:
+                writer.write(event)

@@ -33,7 +33,7 @@ from repro.dlframework.tensor import DType
 from repro.gpusim.device import A100, MiB
 from repro.gpusim.instruction import InstructionKind
 from repro.gpusim.runtime import create_runtime
-from repro.replay import TraceReader, replay_trace
+from repro.replay import MemoryTrace, TraceReader, replay_trace
 from repro.tools import InefficiencyLocatorTool, TimeSeriesHotnessTool
 from repro import api
 
@@ -56,7 +56,8 @@ def _make_tool(name: str) -> PastaTool:
 @pytest.fixture(scope="module")
 def fine_grained_events(tmp_path_factory):
     """One fine-grained recording, decoded once for every equivalence case,
-    plus the same stream with every batch unrolled into per-record events."""
+    plus the same stream with every batch unrolled into per-record events,
+    each held in a memory trace."""
     trace = tmp_path_factory.mktemp("pipeline") / "fine.pastatrace"
     api.run("alexnet", device="a100", tools=(), fine_grained=True,
                  batch_size=2, record_to=trace)
@@ -70,16 +71,16 @@ def fine_grained_events(tmp_path_factory):
             unrolled.extend(event.unroll())
         else:
             unrolled.append(event)
-    return trace, events, unrolled
+    return MemoryTrace(reader.header, events), MemoryTrace(reader.header, unrolled)
 
 
 class TestBatchedUnrolledEquivalence:
     @pytest.mark.parametrize("name", [*registered_tools(), *_SAMPLED_TOOLS])
     def test_reports_identical(self, fine_grained_events, name):
-        trace, events, unrolled = fine_grained_events
+        events, unrolled = fine_grained_events
         batched_tool, per_record_tool = _make_tool(name), _make_tool(name)
-        batched_result = replay_trace(trace, tools=[batched_tool], events=events)
-        per_record_result = replay_trace(trace, tools=[per_record_tool], events=unrolled)
+        batched_result = replay_trace(events, tools=[batched_tool])
+        per_record_result = replay_trace(unrolled, tools=[per_record_tool])
         batched_report = stable_json_dumps(batched_result.reports())
         per_record_report = stable_json_dumps(per_record_result.reports())
         assert batched_report == per_record_report

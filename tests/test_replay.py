@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gzip
 import json
+import threading
 import zlib
 
 import numpy as np
@@ -13,7 +14,17 @@ from hypothesis import given, settings, strategies as st
 import repro
 import repro.api.runner as api_runner
 from repro import api
-from repro.campaign import CampaignScheduler, CampaignSpec
+from repro.api import ParallelismSpec, ProfileSpec
+from repro.campaign import (
+    CampaignScheduler,
+    CampaignSpec,
+    FaultInjector,
+    FaultPlan,
+    FaultRule,
+    ResultCache,
+    faults_scope,
+)
+from repro.campaign import scheduler as scheduler_module
 from repro.core.events import (
     EventCategory,
     InstructionBatch,
@@ -36,12 +47,14 @@ from repro.core.events import (
     TensorAllocEvent,
     TensorFreeEvent,
 )
-from repro.core.serialization import json_roundtrip, json_sanitize
+from repro.core.serialization import json_roundtrip, json_sanitize, stable_json_dumps
 from repro.core.session import PastaSession, collect_reports
+from repro.dlframework.engine import ExecutionEngine
 from repro.errors import PastaError, TraceError, TraceFormatError, TraceSchemaError
 from repro.gpusim.instruction import InstructionKind
 from repro.replay import (
     TRACE_FORMAT_VERSION,
+    MemoryTrace,
     TraceHeader,
     TraceReader,
     TraceWriter,
@@ -756,9 +769,70 @@ class TestJobTraceHelpers:
 
 
 # --------------------------------------------------------------------------- #
+# in-memory recordings: replayed as they are, saved only on request
+# --------------------------------------------------------------------------- #
+class TestMemoryTrace:
+    SPECS = {
+        "resnet18_fine": ProfileSpec(
+            model="resnet18", mode="train", batch_size=2, fine_grained=True,
+            tools=("access_histogram", "memory_characteristics", "kernel_frequency"),
+        ),
+        "megatron_tp2": ProfileSpec(
+            model="megatron_gpt2_345m", mode="train", batch_size=1,
+            tools=("kernel_frequency", "memory_characteristics"),
+            parallelism=ParallelismSpec("tp", world_size=2),
+        ),
+    }
+
+    @pytest.fixture(scope="class", params=sorted(SPECS))
+    def recorded(self, request, tmp_path_factory):
+        spec = self.SPECS[request.param]
+        trace = MemoryTrace()
+        live = stable_json_dumps(api.execute(spec, record_to=trace).reports())
+        path = tmp_path_factory.mktemp("memory") / f"{request.param}.pastatrace"
+        trace.save(path)  # before any replay could touch the events
+        return spec, trace, path, live
+
+    def test_replay_matches_the_saved_file_and_the_live_run(self, recorded):
+        spec, trace, path, live = recorded
+        from_memory = stable_json_dumps(api.replay(trace, spec).reports())
+        assert from_memory == stable_json_dumps(api.replay(path, spec).reports())
+        assert from_memory == live
+
+    def test_replaying_twice_gives_the_same_bytes(self, recorded):
+        spec, trace, _, _ = recorded
+        first = stable_json_dumps(api.replay(trace, spec).reports())
+        assert stable_json_dumps(api.replay(trace, spec).reports()) == first
+
+    def test_saved_trace_verifies_and_decodes_to_the_same_events(self, recorded):
+        _, trace, path, _ = recorded
+        reader = TraceReader(path)
+        assert reader.verify()
+        assert reader.footer.complete
+        decoded = [encode_event(event) for event in reader.events()]
+        assert decoded == [encode_event(event) for event in trace.events()]
+        assert len(decoded) > 0
+
+
+class _ProgressLog:
+    """A progress bus that keeps every record in memory."""
+
+    enabled = True
+
+    def __init__(self):
+        self.records = []
+
+    def emit(self, kind, **fields):
+        self.records.append({"type": kind, **fields})
+
+
+# --------------------------------------------------------------------------- #
 # campaign replay execution mode (the acceptance criterion)
 # --------------------------------------------------------------------------- #
 class TestCampaignReplayMode:
+    #: One workload, two tool sets: a replay-mode group of two jobs.
+    GRID = dict(name="grid", models=["alexnet"], devices=["a100"], batch_size=2,
+                tools=["kernel_frequency", "hotness"])
     def _counting_execute(self, monkeypatch):
         calls = {"n": 0}
         original = api_runner.execute
@@ -873,6 +947,112 @@ class TestCampaignReplayMode:
         assert result.failed == 1
         assert result.executed == 1
         assert "no_such_tool" in result.failures()[0].error
+
+    def test_recovered_recording_reports_like_simulate_mode(self, tmp_path, monkeypatch):
+        simulated = CampaignScheduler().run(CampaignSpec(**self.GRID))
+        original = api_runner.execute
+        calls = {"n": 0}
+
+        def fails_once(*args, **kwargs):
+            calls["n"] += 1
+            if calls["n"] == 1:
+                raise RuntimeError("transient simulator failure")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(api_runner, "execute", fails_once)
+        cache, progress = ResultCache(tmp_path / "cache"), _ProgressLog()
+        replayed = CampaignScheduler(retries=1, cache=cache, progress=progress).run(
+            CampaignSpec(**self.GRID, execution="replay"))
+        assert replayed.failed == 0 and replayed.workloads_recorded == 1
+        for outcome, reference in zip(replayed.outcomes, simulated.outcomes):
+            assert outcome.record["summary"] == reference.record["summary"]
+            assert cache.get(outcome.digest)["summary"] == reference.record["summary"]
+            assert outcome.attempts == 2
+            assert [entry["attempt"] for entry in outcome.errors] == [1]
+            assert "transient simulator failure" in outcome.errors[0]["error"]
+        retried = [r for r in progress.records if r.get("event") == "retried"]
+        assert sorted(r["index"] for r in retried) == [0, 1]
+
+    def test_retried_recording_starts_from_an_empty_trace(self, monkeypatch):
+        simulated = CampaignScheduler().run(CampaignSpec(**self.GRID))
+        original = ExecutionEngine.run_inference
+        calls = {"n": 0}
+
+        def runs_then_fails_once(engine, *args, **kwargs):
+            summary = original(engine, *args, **kwargs)  # every event is recorded
+            calls["n"] += 1
+            if calls["n"] == 1:
+                raise RuntimeError("failed after the events were recorded")
+            return summary
+
+        monkeypatch.setattr(ExecutionEngine, "run_inference", runs_then_fails_once)
+        replayed = CampaignScheduler(retries=1).run(CampaignSpec(**self.GRID, execution="replay"))
+        assert replayed.failed == 0 and calls["n"] == 2
+        for outcome, reference in zip(replayed.outcomes, simulated.outcomes):
+            assert outcome.attempts == 2
+            assert outcome.record["summary"] == reference.record["summary"]
+        # A retry that kept the failed attempt's events would double counts.
+        kernel_frequency = replayed.outcomes[0].record["reports"]["kernel_frequency"]
+        assert kernel_frequency == simulated.outcomes[0].record["reports"]["kernel_frequency"]
+
+    def test_exhausted_recording_reports_the_backoff_it_slept_once(self, monkeypatch):
+        naps = []
+        monkeypatch.setattr(scheduler_module, "_sleep", naps.append)
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("simulator exploded")
+
+        monkeypatch.setattr(api_runner, "execute", broken)
+        result = CampaignScheduler(retries=2, backoff_s=0.5).run(
+            CampaignSpec(**self.GRID, execution="replay"))
+        assert result.failed == result.total == 2
+        assert len(naps) == 2 and sum(naps) >= 1.0
+        for outcome in result.outcomes:
+            assert outcome.attempts == 3 and len(outcome.errors) == 3
+        assert result.outcomes[0].backoff_s == pytest.approx(sum(naps))
+        assert result.summary()["backoff_s"] == pytest.approx(sum(naps), abs=1e-6)
+        assert result.workloads_recorded == 0
+
+    def test_failed_simulations_are_not_counted_as_recorded(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("simulator exploded")
+
+        monkeypatch.setattr(api_runner, "execute", broken)
+        plain = ProfileSpec(model="alexnet", batch_size=2, tools=("kernel_frequency",))
+        jobs = [plain, plain.with_record(tmp_path / "job.pastatrace")]
+        result = CampaignScheduler(execution="replay").run(jobs)
+        assert result.failed == 2
+        assert result.workloads_recorded == 0
+
+    def test_without_trace_dir_nothing_is_encoded(self, monkeypatch):
+        def refuse(writer, event):
+            raise AssertionError("an event was encoded")
+
+        monkeypatch.setattr(TraceWriter, "write", refuse)
+        result = CampaignScheduler().run(CampaignSpec(**self.GRID, execution="replay"))
+        assert result.failed == 0 and result.workloads_recorded == 1
+        assert all(r["execution"] == "replay" for r in result.records())
+
+    def test_workload_groups_run_on_a_process_pool(self):
+        spec = CampaignSpec(**{**self.GRID, "devices": ["a100", "rtx3060"]},
+                            execution="replay")
+        result = CampaignScheduler(jobs=2, executor="process").run(spec)
+        assert result.total == 4 and result.failed == 0
+        assert result.workloads_recorded == 2
+        assert [r["execution"] for r in result.records()] == ["replay"] * 4
+
+    def test_timeout_applies_to_the_whole_group(self):
+        plan = FaultPlan(rules=(
+            FaultRule(site="scheduler.job", kind="slow", delay_s=3.0),))
+        with faults_scope(FaultInjector(plan)):
+            result = CampaignScheduler(timeout_s=0.5).run(
+                CampaignSpec(**self.GRID, execution="replay"))
+        assert [o.status for o in result.outcomes] == ["timeout", "timeout"]
+        # The abandoned group keeps its worker thread until it finishes;
+        # wait for it so it cannot overlap later tests.
+        for thread in threading.enumerate():
+            if thread.name.startswith("pasta-campaign"):
+                thread.join(timeout=60)
 
     def test_scheduler_validates_execution(self):
         with pytest.raises(Exception):
