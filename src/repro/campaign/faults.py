@@ -4,7 +4,8 @@ Crash-safety claims are only worth what the tests that exercise them are
 worth, so the campaign layer carries its own chaos harness.  A
 :class:`FaultPlan` is a declarative list of :class:`FaultRule` entries —
 *which site* (``runner.execute``, ``cache.put``, ``store.append``,
-``scheduler.job`` …), *which kind* of fault, and *when* (after N clean hits,
+``scheduler.job``, ``progress.write``, ``telemetry.write``,
+``trace.write`` …), *which kind* of fault, and *when* (after N clean hits,
 at most M times, with a seeded probability) — and a :class:`FaultInjector`
 arms the plan behind :data:`ACTIVE_FAULTS`, the same process-global active
 handle the telemetry and progress layers use.  Instrumented sites call
@@ -24,7 +25,8 @@ Fault kinds
     or a dedicated worker.
 ``torn_write``
     Returned to the call site, which must emulate a write torn mid-line
-    (the store writes a truncated record, then raises).
+    (:func:`repro.jsonl.append` and the trace writer write half a record,
+    then raise).
 ``cache_corrupt``
     Returned to the call site, which must corrupt the just-written payload
     (the cache truncates the entry's JSON on disk).
@@ -214,9 +216,12 @@ class FaultInjector:
 
         telemetry = _active_telemetry()
         if telemetry.enabled:
-            telemetry.event(
-                "fault.injected", site=site, kind=rule.kind, label=label
-            )
+            # Announcing a telemetry.write fault would write to the stream
+            # it tears, and fire the rule again.
+            if site != "telemetry.write":
+                telemetry.event(
+                    "fault.injected", site=site, kind=rule.kind, label=label
+                )
             telemetry.counter("faults.injected").inc()
 
 

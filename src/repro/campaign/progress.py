@@ -1,12 +1,12 @@
 """Live campaign progress: a status event bus streaming to ``status.jsonl``.
 
 The result store records what a campaign *produced*; this module records
-what it is *doing right now*.  A :class:`ProgressWriter` appends one small
-JSON record per lifecycle transition — campaign start/end, job
-queued/started/retried/finished (with cache hit/miss attribution), per-rank
-iteration progress for parallel profiles — to a ``status.jsonl`` next to the
-result store, flushing every line so a concurrent reader (``pasta campaign
-watch``) always sees a consistent prefix of the stream.
+what it is *doing right now*.  A :class:`ProgressWriter` appends one
+:func:`repro.jsonl.envelope` per lifecycle transition — campaign start/end,
+job queued/started/retried/finished (with cache hit/miss attribution),
+per-rank iteration progress for parallel profiles — to a ``status.jsonl``
+next to the result store, best effort (a failed write is counted in
+``write_errors``), so ``pasta campaign watch`` sees each record at once.
 
 Like the telemetry layer, the bus has a process-global active handle
 (:data:`ACTIVE_PROGRESS`, :func:`progress_scope`) defaulting to a shared
@@ -24,15 +24,13 @@ the ``watch`` terminal.
 
 from __future__ import annotations
 
-import threading
 import time
 from pathlib import Path
 from typing import ContextManager, Mapping, Optional, Union
 
+from repro import jsonl
 from repro.active import ActiveHandle
-from repro.core.serialization import stable_json_dumps
 from repro.errors import ReproError
-from repro.obs.sink import read_records
 
 #: File name used when the status target is a directory.
 STATUS_FILE = "status.jsonl"
@@ -46,39 +44,18 @@ def status_path(target: Union[str, Path]) -> Path:
     return path / STATUS_FILE
 
 
-class ProgressWriter:
-    """Append-only, flush-per-write JSONL stream of progress events."""
+class ProgressWriter(jsonl.BestEffortWriter):
+    """Append-only JSONL stream of progress events (fault site ``progress.write``)."""
 
     enabled = True
 
     def __init__(self, target: Union[str, Path]) -> None:
-        self.path = status_path(target)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._lock = threading.Lock()
-        self._fh = self.path.open("a", encoding="utf-8")
-        self.records_written = 0
+        super().__init__(status_path(target), "progress.write")
 
     def emit(self, kind: str, **fields: object) -> None:
-        """Append one ``{"type": kind, "ts_unix": now, **fields}`` record.
-
-        Thread-safe: scheduler worker threads emit through the same writer
-        as the main thread.  Every record is flushed immediately — a watcher
-        (or a post-mortem after a kill) reads everything emitted so far.
-        """
-        record = {"type": kind, "ts_unix": round(time.time(), 6), **fields}
-        line = stable_json_dumps(record)
-        with self._lock:
-            if self._fh.closed:
-                return
-            self._fh.write(line)
-            self._fh.write("\n")
-            self._fh.flush()
-            self.records_written += 1
-
-    def close(self) -> None:
-        with self._lock:
-            if not self._fh.closed:
-                self._fh.close()
+        """Append one envelope of type ``kind`` (thread-safe: scheduler
+        worker threads emit through the same writer as the main thread)."""
+        self.write(jsonl.envelope(kind, **fields))
 
     def __enter__(self) -> "ProgressWriter":
         return self
@@ -141,11 +118,11 @@ def progress_scope(
 # reading + aggregation (the `watch` side)
 # ---------------------------------------------------------------------- #
 def read_status(target: Union[str, Path]) -> list[dict[str, object]]:
-    """All readable status records (torn trailing lines are tolerated)."""
+    """All readable status records (torn lines are warned about and skipped)."""
     path = status_path(target)
     if not path.exists():
         raise ReproError(f"no status file at {path}")
-    return read_records(path)
+    return list(jsonl.read(path))
 
 
 def snapshot_status(

@@ -7,26 +7,18 @@ the most recent record, which makes the store double as the input to
 baseline-vs-current regression diffs — and, for the distributed fabric, the
 source of truth crash-resume rebuilds completed work from.
 
-Crash behaviour: a worker killed mid-append leaves a *torn* trailing line.
-Reads tolerate that by default — the same discipline as the telemetry sink
-(:func:`repro.obs.sink.read_records`): a malformed line is warned about and
-skipped, everything parseable is kept.  ``strict=True`` restores
-fail-on-anything for forensic reads.  Appends self-heal the tear: when the
-file does not end in a newline (a previous writer died mid-line), the next
-append starts on a fresh line, so one crash corrupts at most one record,
-never the records written after resume.
+Appends and reads go through :mod:`repro.jsonl` (fault site
+``store.append``), which owns the crash behaviour: a worker killed
+mid-append costs at most its own record, and reads warn about and skip a
+torn line unless ``strict=True``.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import warnings
 from pathlib import Path
 from typing import Iterator, Optional, Union
 
-from repro.campaign.faults import active_faults
-from repro.core.serialization import stable_json_dumps
+from repro import jsonl
 from repro.errors import ReproError
 
 
@@ -45,42 +37,10 @@ class ResultStore:
         """Append one record (sanitized, stable key order) to the store."""
         if not isinstance(record, dict):
             raise ReproError(f"store records must be dicts, got {type(record).__name__}")
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        line = stable_json_dumps(record)
-        fault = active_faults().fire("store.append", label=str(record.get("digest", "")))
-        with self.path.open("a", encoding="utf-8") as fh:
-            if self._needs_newline_boundary(fh):
-                fh.write("\n")
-            if fault is not None and fault.kind == "torn_write":
-                # Emulate dying mid-append: half a line, no newline, and the
-                # caller sees the crash as an exception.
-                fh.write(line[: max(1, len(line) // 2)])
-                fh.flush()
-                raise ReproError(
-                    f"injected torn write at {self.path}"
-                )
-            fh.write(line)
-            fh.write("\n")
-            if self.fsync:
-                fh.flush()
-                os.fsync(fh.fileno())
-
-    def _needs_newline_boundary(self, fh) -> bool:
-        """True when the file ends mid-line (a previous writer was killed)."""
-        try:
-            end = fh.tell()
-            if end == 0:
-                return False
-            with self.path.open("rb") as probe:
-                probe.seek(end - 1)
-                return probe.read(1) != b"\n"
-        except OSError:
-            return False
-
-    def extend(self, records: list[dict[str, object]]) -> None:
-        """Append several records."""
-        for record in records:
-            self.append(record)
+        jsonl.append(
+            self.path, record, site="store.append",
+            label=str(record.get("digest", "")), fsync=self.fsync,
+        )
 
     # ------------------------------------------------------------------ #
     # reading
@@ -88,44 +48,12 @@ class ResultStore:
     def iter_records(self, strict: bool = False) -> Iterator[dict[str, object]]:
         """Yield records in append order.
 
-        A malformed line — the torn tail of a ``kill -9``'d writer, or a
-        tear mid-file that a later append healed past — is warned about and
-        skipped by default, so one crash never makes the whole store
-        unreadable.  ``strict=True`` raises instead (the historical
-        behaviour), for callers that must not silently lose a record.
+        A missing file has no records.  A malformed line is warned about
+        and skipped by default (see :func:`repro.jsonl.read`); ``strict=True``
+        raises instead, for callers that must not silently lose a record.
         """
-        if not self.path.exists():
-            return
-        with self.path.open("r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                record: object
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as error:
-                    if strict:
-                        raise ReproError(
-                            f"corrupt record at {self.path}:{lineno}: {error}"
-                        ) from error
-                    warnings.warn(
-                        f"skipping torn/corrupt record at {self.path}:{lineno}: "
-                        f"{error}",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                    continue
-                if not isinstance(record, dict):
-                    if strict:
-                        raise ReproError(f"non-object record at {self.path}:{lineno}")
-                    warnings.warn(
-                        f"skipping non-object record at {self.path}:{lineno}",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                    continue
-                yield record
+        if self.path.exists():
+            yield from jsonl.read(self.path, strict=strict)
 
     def load(self, strict: bool = False) -> list[dict[str, object]]:
         """All records in append order."""

@@ -1,10 +1,10 @@
 """Run-scoped JSONL telemetry sink with a provenance manifest.
 
 One telemetry run writes one ``telemetry.jsonl``: a stream of JSON objects,
-one per line, in the order they were emitted — the same "JSON Lines
-everywhere" discipline the campaign result store uses, so the file tails,
-greps, and pipes like any other store.  The first line is always the run
-*manifest*, which pins the provenance every later record inherits:
+one per line, in the order they were emitted, appended and read through
+:mod:`repro.jsonl` like every other record file, so it tails, greps and
+pipes like any other store.  The first line is always the run *manifest*,
+which pins the provenance every later record inherits:
 
 ``{"type": "manifest", "schema": 1, "run_id": ..., "repro_version": ...,``
 ``"pid": ..., "rank": ..., "created_unix": ..., "platform": ...,``
@@ -14,28 +14,26 @@ greps, and pipes like any other store.  The first line is always the run
 campaign name, the trace path).  Record types appended afterwards:
 
 * ``span`` — one closed tracer span (:mod:`repro.obs.spans`);
-* ``event`` — one point-in-time annotation;
+* ``event`` — one point-in-time annotation (a :func:`repro.jsonl.envelope`);
 * ``metrics`` — the final registry snapshot, written on close.
 
-Writes are line-buffered behind a lock (spans close on worker threads too)
-and the file is flushed on every write, so a crashed run keeps everything
-emitted before the crash — the telemetry analogue of the campaign store's
-append-per-job durability.
+Every record is its own append (fault site ``telemetry.write``), so a
+crashed run keeps everything emitted before the crash.  Telemetry is best
+effort: a failed write is counted in ``write_errors``, never raised into
+the profile it observes.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import platform
 import sys
-import threading
 import time
 import uuid
 from pathlib import Path
 from typing import Mapping, Optional, Union
 
-from repro.core.serialization import json_sanitize
+from repro import jsonl
 
 #: Default file name inside a telemetry directory.
 TELEMETRY_FILE = "telemetry.jsonl"
@@ -56,7 +54,7 @@ def telemetry_path(target: Union[str, Path]) -> Path:
     return target / TELEMETRY_FILE
 
 
-class JsonlSink:
+class JsonlSink(jsonl.BestEffortWriter):
     """Append-only JSONL writer for telemetry records."""
 
     def __init__(
@@ -69,13 +67,11 @@ class JsonlSink:
     ) -> None:
         import repro
 
-        self.path = Path(path)
+        super().__init__(Path(path), "telemetry.write")
+        # A run starts a fresh file: the manifest must be its first line.
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        self.path.write_bytes(b"")
         self.run_id = uuid.uuid4().hex[:12]
-        self._lock = threading.Lock()
-        self._file = open(self.path, "w", encoding="utf-8")
-        self.records_written = 0
-        self._closed = False
         self.manifest: dict[str, object] = {
             "type": "manifest",
             "schema": MANIFEST_SCHEMA,
@@ -91,68 +87,24 @@ class JsonlSink:
         }
         self.write(self.manifest)
 
-    @property
-    def closed(self) -> bool:
-        """True once the sink has been closed."""
-        return self._closed
-
-    def write(self, record: Mapping[str, object]) -> None:
-        """Append one record as a JSON line (no-op after close)."""
-        with self._lock:
-            if self._closed:
-                return
-            self._file.write(
-                json.dumps(json_sanitize(record), sort_keys=True, separators=(",", ":"))
-                + "\n"
-            )
-            self._file.flush()
-            self.records_written += 1
-
     def annotate_provenance(self, **fields: object) -> None:
         """Merge late-bound provenance (e.g. a spec digest) and append the
         delta as an ``event`` record, so readers see it without re-reading
         the manifest line."""
         self.manifest.setdefault("provenance", {}).update(fields)  # type: ignore[union-attr]
-        self.write({
-            "type": "event",
-            "name": "provenance",
-            "ts_unix": round(time.time(), 6),
-            "attrs": dict(fields),
-        })
+        self.write(jsonl.envelope("event", name="provenance", attrs=dict(fields)))
 
     def close(self, final_records: Optional[list[Mapping[str, object]]] = None) -> None:
-        """Append any final records (idempotent) and close the file."""
-        with self._lock:
-            if self._closed:
-                return
-            for record in final_records or []:
-                self._file.write(
-                    json.dumps(json_sanitize(record), sort_keys=True, separators=(",", ":"))
-                    + "\n"
-                )
-                self.records_written += 1
-            self._file.flush()
-            self._file.close()
-            self._closed = True
+        """Append any final records, then stop writing (idempotent)."""
+        for record in final_records or []:
+            self.write(record)
+        super().close()
 
 
 def read_records(target: Union[str, Path]) -> list[dict[str, object]]:
     """Load every record of a telemetry file (or directory).
 
-    Tolerates a truncated final line (a run killed mid-write) by skipping
-    it; any other malformed line raises, since the sink never writes one.
+    A torn or malformed line (a run killed mid-write) is warned about and
+    skipped, as :func:`repro.jsonl.read` does for every record file.
     """
-    path = telemetry_path(target)
-    records: list[dict[str, object]] = []
-    with open(path, encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
-    for number, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            records.append(json.loads(line))
-        except json.JSONDecodeError:
-            if number == len(lines):
-                break  # torn tail of a crashed run
-            raise
-    return records
+    return list(jsonl.read(telemetry_path(target)))

@@ -36,6 +36,7 @@ import time
 from pathlib import Path
 from typing import ContextManager, Mapping, Optional, Sequence, Union
 
+from repro import jsonl
 from repro.active import ActiveHandle
 from repro.obs.log import get_logger
 from repro.obs.metrics import (
@@ -90,7 +91,7 @@ class Telemetry:
             # A run that dies without close() (sys.exit, uncaught exception)
             # would lose the closing metrics snapshot and self-overhead
             # record; atexit covers those.  SIGKILL can't be covered by any
-            # handler — there the sink's flush-per-write is the safety net.
+            # handler — there the sink's append-per-record is the safety net.
             atexit.register(self.close)
 
     # ------------------------------------------------------------------ #
@@ -171,12 +172,7 @@ class Telemetry:
     def event(self, name: str, **attrs: object) -> None:
         """Emit one point-in-time annotation record."""
         started = time.perf_counter_ns()
-        self._emit({
-            "type": "event",
-            "name": name,
-            "ts_unix": round(time.time(), 6),
-            "attrs": dict(attrs),
-        })
+        self._emit(jsonl.envelope("event", name=name, attrs=dict(attrs)))
         self.tracer.self_time_ns += time.perf_counter_ns() - started
 
     # ------------------------------------------------------------------ #

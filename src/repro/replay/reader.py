@@ -26,10 +26,12 @@ trace file that replays like the original.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import gzip
 import hashlib
 import json
+import zlib
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Union
 
@@ -47,6 +49,16 @@ from repro.replay.writer import TraceWriter, index_path_for
 
 #: Category filter values may be enum members or their string values.
 CategoryFilter = Optional[Iterable[Union[str, EventCategory]]]
+
+
+@contextlib.contextmanager
+def _decoding(path: Path) -> Iterator[None]:
+    """Turn any gzip or JSON decode failure into a :class:`TraceFormatError`
+    naming ``path`` (a torn write, a truncated copy, flipped bytes)."""
+    try:
+        yield
+    except (gzip.BadGzipFile, EOFError, zlib.error, ValueError) as error:
+        raise TraceFormatError(f"corrupt trace {path}: {error}") from error
 
 
 def _normalize_categories(categories: CategoryFilter) -> Optional[frozenset[str]]:
@@ -112,28 +124,19 @@ class TraceReader:
         """True when the sidecar seek index is available."""
         return self._index is not None
 
-    def _read_member(self, offset: int, length: int) -> bytes:
+    def _read_member(self, entry: dict) -> list[dict]:
+        """The records of the gzip member an index entry locates."""
         with open(self.path, "rb") as fh:
-            fh.seek(offset)
-            compressed = fh.read(length)
-        try:
-            return gzip.decompress(compressed)
-        except (OSError, EOFError) as error:
-            raise TraceFormatError(f"corrupt gzip member at offset {offset}: {error}") from error
+            fh.seek(int(entry["offset"]))
+            compressed = fh.read(int(entry["length"]))
+        with _decoding(self.path):
+            return [json.loads(line) for line in gzip.decompress(compressed).splitlines()]
 
     def _read_header(self) -> TraceHeader:
         if self._index is not None:
-            data = self._read_member(
-                int(self._index["header"]["offset"]), int(self._index["header"]["length"])
-            )
-            line = data.splitlines()[0]
+            record = self._read_member(self._index["header"])[0]
         else:
-            with gzip.open(self.path, "rb") as fh:
-                line = fh.readline()
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as error:
-            raise TraceFormatError(f"{self.path} is not a PASTA trace: {error}") from error
+            record = next(self._all_records(), {})
         return TraceHeader.from_record(record)
 
     @property
@@ -141,10 +144,7 @@ class TraceReader:
         """The trace footer (direct read with an index, full scan without)."""
         if self._footer is None:
             if self._index is not None:
-                data = self._read_member(
-                    int(self._index["footer"]["offset"]), int(self._index["footer"]["length"])
-                )
-                record = json.loads(data.splitlines()[0])
+                record = self._read_member(self._index["footer"])[0]
             else:
                 record = None
                 for candidate in self._all_records():
@@ -156,11 +156,10 @@ class TraceReader:
 
     def _all_records(self) -> Iterator[dict]:
         """Every JSON record in file order, including header and footer."""
-        with gzip.open(self.path, "rb") as fh:
+        with _decoding(self.path), gzip.open(self.path, "rb") as fh:
             for line in fh:
-                if not line.strip():
-                    continue
-                yield json.loads(line)
+                if line.strip():
+                    yield json.loads(line)
 
     def _event_records(
         self, chunk_categories: Optional[frozenset[str]] = None
@@ -172,9 +171,7 @@ class TraceReader:
                     set(chunk.get("categories") or ()) & chunk_categories
                 ):
                     continue
-                data = self._read_member(int(chunk["offset"]), int(chunk["length"]))
-                for line in data.splitlines():
-                    yield json.loads(line)
+                yield from self._read_member(chunk)
             return
         for record in self._all_records():
             if record.get("kind") in ("header", "footer"):
@@ -199,9 +196,7 @@ class TraceReader:
         chunks = self._index["chunks"]
         if not 0 <= index < len(chunks):
             raise TraceError(f"chunk index {index} out of range [0, {len(chunks)})")
-        chunk = chunks[index]
-        data = self._read_member(int(chunk["offset"]), int(chunk["length"]))
-        return [decode_event(json.loads(line)) for line in data.splitlines()]
+        return [decode_event(record) for record in self._read_member(chunks[index])]
 
     # ------------------------------------------------------------------ #
     # event streaming with slicing
@@ -303,7 +298,7 @@ class TraceReader:
         count = 0
         previous: Optional[bytes] = None
         first = True
-        with gzip.open(self.path, "rb") as fh:
+        with _decoding(self.path), gzip.open(self.path, "rb") as fh:
             for line in fh:
                 if first:
                     first = False  # header line: never part of the digest

@@ -112,6 +112,7 @@ class TraceWriter:
         self._complete = True
         self._abort_reason = ""
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        index_path_for(self.path).unlink(missing_ok=True)  # a stale one describes another file
         self._file = open(self.path, "wb")
         self._offset = 0
         self._header_length = self._write_member(
@@ -123,7 +124,7 @@ class TraceWriter:
     # ------------------------------------------------------------------ #
     @property
     def closed(self) -> bool:
-        """True once the footer has been written."""
+        """True once the footer has been written, or a write failed."""
         return self._closed
 
     def write(self, event: PastaEvent) -> None:
@@ -147,9 +148,25 @@ class TraceWriter:
             self._flush_chunk()
 
     def _write_member(self, payload: bytes) -> int:
-        """Compress ``payload`` as one gzip member; returns its byte length."""
+        """Compress ``payload`` as one gzip member; returns its byte length.
+
+        Fault site ``trace.write``.  A failed write leaves the file torn, so
+        the writer writes nothing more, from ``close``, ``abort`` or ``__del__``.
+        """
+        from repro.campaign.faults import active_faults  # lazy: repro.campaign imports us
+
         member = gzip.compress(payload, mtime=0)
-        self._file.write(member)
+        try:
+            fault = active_faults().fire("trace.write", label=str(self.path))
+            if fault is not None and fault.kind == "torn_write":
+                self._file.write(member[: max(1, len(member) // 2)])
+                raise TraceError(f"injected torn write at {self.path}")
+            self._file.write(member)
+        except BaseException:
+            self._complete = False
+            self._closed = True
+            self._file.close()
+            raise
         self._offset += len(member)
         return len(member)
 

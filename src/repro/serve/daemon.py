@@ -3,9 +3,10 @@
 :class:`PastaDaemon` wraps a :class:`~repro.serve.jobs.JobManager` in a
 ``ThreadingHTTPServer`` (one thread per connection, so a slow stream reader
 never blocks a submit).  Every response body is newline-delimited JSON from
-:mod:`repro.serve.protocol`; unary responses are sent with a
-``Content-Length`` (keep-alive friendly), streams use chunked transfer
-encoding flushed per record so backpressure flows through the socket.
+:mod:`repro.serve.protocol`, one :func:`repro.jsonl.line` per record; unary
+responses are sent with a ``Content-Length`` (keep-alive friendly), streams
+use chunked transfer encoding flushed per record so backpressure flows
+through the socket.
 
 Endpoints (all under ``/v1``):
 
@@ -26,7 +27,8 @@ Endpoints (all under ``/v1``):
 =====================================  ==============================================
 
 Failures are ``error`` records whose ``code`` mirrors the HTTP status:
-400 bad spec / malformed request, 404 unknown job or digest, 429 quota.
+400 bad spec / malformed request, 404 unknown job or digest, 429 quota,
+503 a submission the job journal could not record.
 
 Multi-tenancy is auth-less: clients pick a namespace via the
 ``X-Pasta-Namespace`` header (or ``?namespace=``); quotas are enforced per
@@ -44,16 +46,11 @@ from typing import Optional, Union
 from urllib.parse import parse_qs, urlsplit
 
 import repro
+from repro import jsonl
 from repro.errors import ReproError
 from repro.obs.telemetry import active as _active_telemetry
-from repro.serve.jobs import DEFAULT_QUOTA_INFLIGHT, JobManager, QuotaExceeded
-from repro.serve.protocol import (
-    NAMESPACE_HEADER,
-    PROTOCOL_VERSION,
-    encode_line,
-    error_record,
-    record,
-)
+from repro.serve.jobs import DEFAULT_QUOTA_INFLIGHT, JobManager, JournalError, QuotaExceeded
+from repro.serve.protocol import NAMESPACE_HEADER, error_record
 
 #: Largest accepted request body (a campaign grid spec is well under this).
 MAX_BODY_BYTES = 32 * 1024 * 1024
@@ -119,7 +116,7 @@ class _ServeHandler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _send_record(self, status: int, rec: dict[str, object]) -> None:
-        self._send_lines(status, encode_line(rec))
+        self._send_lines(status, jsonl.line(rec))
 
     def _start_stream(self) -> None:
         self.send_response(200)
@@ -158,6 +155,8 @@ class _ServeHandler(BaseHTTPRequestHandler):
             self._send_record(429, error_record(
                 429, str(error), namespace=error.namespace, quota=error.quota
             ))
+        except JournalError as error:
+            self._send_record(503, error_record(503, str(error)))
         except ReproError as error:
             code = 404 if str(error).startswith("unknown ") else 400
             self._send_record(code, error_record(code, str(error)))
@@ -204,11 +203,11 @@ class _ServeHandler(BaseHTTPRequestHandler):
     # handlers
     # -------------------------------------------------------------- #
     def _get_health(self) -> None:
-        self._send_record(200, record(
+        self._send_record(200, jsonl.envelope(
             "health",
             status="ok",
             version=repro.__version__,
-            protocol=PROTOCOL_VERSION,
+            protocol=jsonl.VERSION,
             url=self.server.daemon.url,
             **self.manager.stats(),
         ))
@@ -229,7 +228,7 @@ class _ServeHandler(BaseHTTPRequestHandler):
         else:
             namespace = self._namespace(params)
         jobs = self.manager.jobs(namespace=namespace)
-        body = b"".join(encode_line(job.status_record()) for job in jobs)
+        body = b"".join(jsonl.line(job.status_record()) for job in jobs)
         self._send_lines(200, body)
 
     def _get_job(self, job_id: str) -> None:
@@ -248,13 +247,13 @@ class _ServeHandler(BaseHTTPRequestHandler):
         self._start_stream()
         try:
             for rec in stream:
-                self._write_chunk(encode_line(rec))
+                self._write_chunk(jsonl.line(rec))
             self._write_chunk(b"")
         except (BrokenPipeError, ConnectionResetError):
             self.close_connection = True
 
     def _get_cache_stats(self) -> None:
-        self._send_record(200, record(
+        self._send_record(200, jsonl.envelope(
             "cache",
             event="stats",
             stats=self.manager.cache.stats.as_dict(),
@@ -277,12 +276,12 @@ class _ServeHandler(BaseHTTPRequestHandler):
             return
         # The raw cached record, not an envelope: the HTTP cache backend's
         # get() must round-trip byte-identically with the file store's.
-        self._send_lines(200, encode_line(rec))
+        self._send_lines(200, jsonl.line(rec))
 
     def _put_cache(self, digest: str) -> None:
         body = self._read_body()
         self.manager.cache.put(self._check_digest(digest), body)
-        self._send_record(200, record("cache", event="stored", digest=digest))
+        self._send_record(200, jsonl.envelope("cache", event="stored", digest=digest))
 
 
 class _ServeServer(ThreadingHTTPServer):

@@ -40,6 +40,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 import repro
+from repro import jsonl
 from repro.api.runner import execute_payload
 from repro.api.spec import ProfileSpec
 from repro.campaign.cache import ResultCache
@@ -53,7 +54,6 @@ from repro.serve.protocol import (
     DEFAULT_NAMESPACE,
     JOB_KINDS,
     TERMINAL_STATES,
-    record,
     validate_namespace,
 )
 
@@ -72,6 +72,10 @@ class QuotaExceeded(ReproError):
         self.namespace = namespace
         #: Which quota tripped: ``"inflight"`` or ``"total"``.
         self.quota = quota
+
+
+class JournalError(ReproError):
+    """The job journal could not record a submission (HTTP 503)."""
 
 
 @dataclass
@@ -103,7 +107,7 @@ class Job:
 
     def status_record(self) -> dict[str, object]:
         """The job's current ``type="job"`` status record."""
-        return record(
+        return jsonl.envelope(
             "job",
             event="status",
             job_id=self.id,
@@ -164,7 +168,7 @@ class _CellProgress:
         index = int(fields["index"])  # type: ignore[call-overload]
         cell = _cell(str(fields["job"]), self.digests[index], str(fields["status"]), fields["error"])
         with self.manager._cond:
-            self.manager._emit_locked(self.job, record(
+            self.manager._emit_locked(self.job, jsonl.envelope(
                 "progress", job_id=self.job.id, index=index, total=len(self.digests), **cell
             ))
 
@@ -297,8 +301,9 @@ class JobManager:
 
         ``payload`` is a spec dict (or submission envelope, see
         :func:`classify_submission`).  Raises :class:`ReproError` on an
-        invalid spec and :class:`QuotaExceeded` over quota — the daemon maps
-        those to 400 / 429 error records.
+        invalid spec, :class:`QuotaExceeded` over quota and
+        :class:`JournalError` when the submission cannot be journaled — the
+        daemon maps those to 400 / 429 / 503 error records.
         """
         namespace = validate_namespace(namespace)
         if kind is None:
@@ -321,17 +326,23 @@ class JobManager:
                 payload=json_sanitize(dict(spec_payload)),
                 digest=digest,
             )
+            # Journal first: a job the journal never recorded would not
+            # survive a restart, so it must not enter the table either.
+            try:
+                self.journal.append({
+                    "event": "submitted",
+                    "job_id": job.id,
+                    "namespace": job.namespace,
+                    "kind": job.kind,
+                    "payload": job.payload,
+                    "digest": job.digest,
+                    "created_unix": job.created_unix,
+                })
+            except (OSError, ReproError) as error:
+                telemetry.counter("serve.journal_errors").inc()
+                raise JournalError(f"could not journal the submission: {error}") from error
             self._jobs[job.id] = job
             self._order.append(job.id)
-            self.journal.append({
-                "event": "submitted",
-                "job_id": job.id,
-                "namespace": job.namespace,
-                "kind": job.kind,
-                "payload": job.payload,
-                "digest": job.digest,
-                "created_unix": job.created_unix,
-            })
             self._emit_locked(job, self._job_event(job, "queued"))
         telemetry.counter("serve.jobs_submitted").inc()
         self._queue.put(job.id)
@@ -386,7 +397,7 @@ class JobManager:
                     if isinstance(result, dict):
                         job.result = result
                         job.events.append(
-                            record("result", job_id=job.id, record=result)
+                            jsonl.envelope("result", job_id=job.id, record=result)
                         )
                 job.events.append(self._job_event(job, "finished"))
         for job_id in self._order:
@@ -537,8 +548,8 @@ class JobManager:
                 return
             job.cache_hit = cache_hit
             job.result = result
-            self._emit_locked(job, record("result", job_id=job.id, record=result))
-            self._finish_locked(job, "done", result=None if not cache_hit else None)
+            self._emit_locked(job, jsonl.envelope("result", job_id=job.id, record=result))
+            self._finish_locked(job, "done")
 
     def _run_campaign(self, job: Job) -> None:
         """Run a campaign job through the campaign scheduler, inline."""
@@ -569,7 +580,7 @@ class JobManager:
                 return
             job.cache_hit = run.total > 0 and run.cached == run.total
             job.result = result
-            self._emit_locked(job, record("result", job_id=job.id, record=result))
+            self._emit_locked(job, jsonl.envelope("result", job_id=job.id, record=result))
             self._finish_locked(job, "done", result=result)
 
     def _fail(self, job: Job, error: str) -> None:
@@ -586,7 +597,7 @@ class JobManager:
     # event plumbing (call with self._cond held)
     # ------------------------------------------------------------------ #
     def _job_event(self, job: Job, event: str) -> dict[str, object]:
-        return record(
+        return jsonl.envelope(
             "job",
             event=event,
             job_id=job.id,

@@ -3,8 +3,8 @@
 Every endpoint speaks newline-delimited JSON: one self-describing object per
 line, flushed per line, so unary responses and long-lived streams share one
 format and a slow reader applies backpressure through its socket instead of
-forcing the server to buffer.  (The discipline follows the jn repo's
-"JSON Lines everywhere" architecture cited in the ROADMAP.)
+forcing the server to buffer.  A record is a :func:`repro.jsonl.envelope`
+and a line its :func:`repro.jsonl.line`, as in the progress bus.
 
 Record types
 ------------
@@ -26,27 +26,24 @@ Record types
     stay content-addressed behind ``GET /v1/cache/<digest>``).
 ``error``
     A failure the *request* (not a job) ran into: ``code`` mirrors the HTTP
-    status (400 bad spec, 404 unknown job, 429 quota exceeded), ``error`` is
-    the human-readable reason.
+    status (400 bad spec, 404 unknown job, 429 quota exceeded, 503 job
+    journal unwritable), ``error`` is the human-readable reason.
 ``health``
     The ``/v1/healthz`` snapshot: daemon version, uptime and job counters.
 ``cache``
     Cache-endpoint acknowledgements (``stored`` / ``evicted``) and the
     ``GET /v1/cache`` stats snapshot.
 
-Versioning: every record carries ``v`` (:data:`PROTOCOL_VERSION`); clients
-reject records from a future major protocol.
+Versioning: every record carries ``v`` (:data:`repro.jsonl.VERSION`);
+clients reject records from a future major protocol.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Mapping, Optional
 
-from repro.core.serialization import stable_json_dumps
-
-#: Wire protocol version stamped on every record.
-PROTOCOL_VERSION = 1
+from repro import jsonl
+from repro.errors import ReproError
 
 #: Job lifecycle states, in order of progression.  ``done`` / ``failed`` /
 #: ``cancelled`` are terminal; ``cancelling`` marks a running job whose
@@ -66,42 +63,23 @@ DEFAULT_NAMESPACE = "default"
 NAMESPACE_HEADER = "X-Pasta-Namespace"
 
 
-def record(rtype: str, **fields: object) -> dict[str, object]:
-    """One protocol record: ``{"type": rtype, "v": 1, "ts_unix": now, ...}``."""
-    return {
-        "type": rtype,
-        "v": PROTOCOL_VERSION,
-        "ts_unix": round(time.time(), 6),
-        **fields,
-    }
-
-
 def error_record(code: int, message: str, **fields: object) -> dict[str, object]:
     """A request-level failure record mirroring an HTTP status code."""
-    return record("error", code=int(code), error=str(message), **fields)
-
-
-def encode_line(rec: Mapping[str, object]) -> bytes:
-    """One wire line: canonical JSON plus the terminating newline."""
-    return (stable_json_dumps(rec) + "\n").encode("utf-8")
+    return jsonl.envelope("error", code=int(code), error=str(message), **fields)
 
 
 def check_protocol(rec: Mapping[str, object]) -> None:
     """Reject records stamped by a future, incompatible protocol."""
-    version = rec.get("v", PROTOCOL_VERSION)
-    if isinstance(version, int) and version > PROTOCOL_VERSION:
-        from repro.errors import ReproError
-
+    version = rec.get("v", jsonl.VERSION)
+    if isinstance(version, int) and version > jsonl.VERSION:
         raise ReproError(
             f"server speaks protocol v{version}, this client understands "
-            f"v{PROTOCOL_VERSION}; upgrade the client"
+            f"v{jsonl.VERSION}; upgrade the client"
         )
 
 
 def validate_namespace(namespace: Optional[str]) -> str:
     """Normalise a namespace: non-empty, no path separators or whitespace."""
-    from repro.errors import ReproError
-
     name = (namespace or DEFAULT_NAMESPACE).strip()
     if not name or any(ch in name for ch in "/\\ \t\n"):
         raise ReproError(

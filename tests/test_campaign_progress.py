@@ -77,7 +77,7 @@ class TestProgressWriter:
         writer.emit("campaign", event="start", total=3)
         # Flush-per-write: readable immediately, without close().
         records = read_status(tmp_path)
-        assert records == [{"type": "campaign", "event": "start", "total": 3,
+        assert records == [{"type": "campaign", "v": 1, "event": "start", "total": 3,
                             "ts_unix": records[0]["ts_unix"]}]
         writer.emit("job", event="queued", index=0)
         assert writer.records_written == 2
@@ -93,7 +93,7 @@ class TestProgressWriter:
     def test_context_manager_closes(self, tmp_path):
         with ProgressWriter(tmp_path) as writer:
             writer.emit("campaign", event="start")
-        assert writer._fh.closed
+        assert writer.closed
 
     def test_read_status_missing_file_raises(self, tmp_path):
         with pytest.raises(ReproError, match="no status file"):
@@ -105,7 +105,7 @@ class TestProgressWriter:
         with progress_scope(writer) as scoped:
             assert active_progress() is scoped is writer
         assert active_progress() is NULL_PROGRESS
-        assert writer._fh.closed  # the scope closed it
+        assert writer.closed  # the scope closed it
 
     def test_activate_deactivate(self, tmp_path):
         writer = ProgressWriter(tmp_path)

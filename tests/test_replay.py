@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import gzip
 import json
+import re
 import threading
 import zlib
 
@@ -493,6 +495,24 @@ class TestContainer:
             f"{type(failure.value).__name__}: {failure.value}")
         with pytest.raises(TraceError, match="incomplete"):
             list(sliced.events())
+
+    def test_a_torn_trace_write_is_never_finished_later(self, tmp_path):
+        trace = tmp_path / "alexnet.pastatrace"
+        run = dict(device="a100", tools=("kernel_frequency",), batch_size=2)
+        api.run("alexnet", **run, record_to=trace)
+        # Hit 0 is the header member, hits 1..n the chunks: tear the last chunk.
+        chunks = TraceReader(trace).footer.chunk_count
+        plan = FaultPlan(rules=(
+            FaultRule(site="trace.write", kind="torn_write", after=chunks),))
+        with faults_scope(FaultInjector(plan)):
+            with pytest.raises(TraceError, match="injected torn write"):
+                api.run("alexnet", **run, record_to=trace)
+        size = trace.stat().st_size
+        gc.collect()  # a dropped writer must not write a footer from __del__
+        assert trace.stat().st_size == size
+        assert not index_path_for(trace).exists()
+        with pytest.raises(TraceFormatError, match=re.escape(str(trace))):
+            TraceReader(trace).footer
 
     def test_schema_mismatch_raises(self, tmp_path):
         path = tmp_path / "t.pastatrace"
