@@ -60,7 +60,6 @@ from repro.campaign.scheduler import (
     CampaignRunResult,
     CampaignScheduler,
     JobOutcome,
-    run_campaign,
 )
 from repro.campaign.spec import CampaignSpec, expand_jobs
 from repro.campaign.store import ResultStore
@@ -97,7 +96,6 @@ __all__ = [
     "render_status",
     "render_table",
     "rollup",
-    "run_campaign",
     "shard_of",
     "snapshot_status",
     "status_path",

@@ -41,11 +41,14 @@ directory — can run *one* grid together:
   a worker that dies (``kill -9``) simply stops heartbeating and its leases
   go stale.
 * **Work-stealing** — after its own shard, a scheduler sweeps the remaining
-  cells: anything already completed elsewhere is served from the shared
-  cache/store, anything whose lease is absent or stale is claimed and run
-  here (``steal=False`` waits without stealing).
+  cells in passes.  Each pass claims every cell whose lease is absent or
+  stale (``steal=False`` claims nothing and only waits), reads the store
+  once, answers the cells completed elsewhere from the shared cache/store,
+  and runs the claimed rest as *stolen* tasks on the same executor as its
+  own shard — so ``jobs``, ``executor``, ``timeout_s``, replay grouping and
+  the failure policies govern stolen cells too.
 * **Crash-resume** — with ``resume=True`` (the default when a store is
-  attached), completed work is reconstructed from
+  attached), completed work is reconstructed from one read of
   :meth:`~repro.campaign.store.ResultStore.latest_by_digest` on startup, so
   a rerun after a crash simulates only the missing cells.
 
@@ -53,13 +56,17 @@ Failure policy (``on_failure``): ``"isolate"`` (default) records the failure
 and moves on; ``"fail_fast"`` aborts the campaign, marking unstarted jobs
 ``"skipped"``; ``"degrade"`` re-runs a failed job stripped to its bare
 workload (no tools, no knobs) and records the partial result as
-``"degraded"``.  Retries sleep between attempts with exponential backoff and
-decorrelated jitter (``backoff_s`` / ``backoff_cap_s``), surfaced per
-attempt in :class:`JobOutcome` and on the progress stream.
+``"degraded"``.  The fallback runs inside the failed job's task, on its
+worker and within its timeout; failures that no task produced (a steal
+that gave up on a live lease, a task that never started) get none.
+Retries sleep between attempts with exponential backoff and decorrelated
+jitter (``backoff_s`` / ``backoff_cap_s``), surfaced per attempt in
+:class:`JobOutcome` and on the progress stream.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 import threading
 import time
@@ -83,7 +90,7 @@ from repro.api.runner import (
     replay_payload,
 )
 from repro.api.spec import ProfileSpec
-from repro.campaign.cache import CacheBackend, ResultCache
+from repro.campaign.cache import CacheBackend
 from repro.campaign.faults import active_faults
 from repro.campaign.leases import LeaseManager, shard_of
 from repro.campaign.progress import (
@@ -173,6 +180,13 @@ def _backoff_total(entries: list[dict[str, object]]) -> float:
     ))
 
 
+def _failed(prefix: str, error: BaseException) -> dict[str, object]:
+    """The record of a task member whose job, recording or replay raised."""
+    errors = _errors_of(error)
+    return {"status": "failed", "error": prefix + _error_detail(error),
+            "attempts": len(errors), "attempt_errors": errors}
+
+
 def _run_with_retries(
     payload: dict[str, object],
     retries: int,
@@ -243,6 +257,8 @@ class _Task:
     entries: list[tuple[int, ProfileSpec, str]]
     replay: bool = False
     trace_path: Optional[str] = None
+    #: Claimed from another worker's shard.
+    stolen: bool = False
 
 
 def _run_task(
@@ -253,20 +269,22 @@ def _run_task(
     retries: int,
     backoff_s: float,
     backoff_cap_s: float,
-) -> list[dict[str, object]]:
-    """Run one task and return one record per member.
+    degrade: bool,
+) -> tuple[bool, list[dict[str, object]]]:
+    """Run one task; return whether its simulation completed, and one
+    record per member.
 
     A simulate-mode task is one job, run by ``runner``.  A replay-mode task
     is one workload group: its workload is simulated once into a
     :class:`~repro.replay.writer.MemoryTrace` (saved to ``trace_path`` when
     given) and every member is replayed from those events.  Retries cover
     the job or the recording; a group's members carry the recording's
-    ``attempts``/``attempt_errors``, and a member whose replay raises gets a
-    ``"failed"`` record and fails alone.  Module-level, so process pools can
-    pickle it.
+    ``attempts``/``attempt_errors``, and a member whose replay raises fails
+    alone.  A failure never raises: it is the member's ``"failed"`` record,
+    which ``degrade`` replaces by the job's stripped fallback
+    (:func:`_degraded`), run here so the task's timeout covers it.
+    Module-level, so process pools can pickle it.
     """
-    if not replay:
-        return [_run_with_retries(payloads[0], retries, runner, backoff_s, backoff_cap_s)]
     trace = MemoryTrace()
 
     def record(payload: dict[str, object]) -> dict[str, object]:
@@ -277,16 +295,59 @@ def _run_task(
             trace.save(trace_path)
         return summary
 
-    summary = _run_with_retries(payloads[0], retries, record, backoff_s, backoff_cap_s)
-    retry_keys = {key: summary.pop(key) for key in ("attempts", "attempt_errors") if key in summary}
-    records = []
-    for payload in payloads:
-        try:
-            records.append({**replay_payload(payload, trace, summary), **retry_keys})
-        except Exception as error:
-            records.append({"status": "failed", "error": f"replay failed: {_error_detail(error)}",
-                            "attempt_errors": _errors_of(error)})
-    return records
+    try:
+        if not replay:
+            records = [_run_with_retries(payloads[0], retries, runner, backoff_s, backoff_cap_s)]
+        else:
+            summary = _run_with_retries(payloads[0], retries, record, backoff_s, backoff_cap_s)
+            retry_keys = {key: summary.pop(key) for key in ("attempts", "attempt_errors") if key in summary}
+            records = []
+            for payload in payloads:
+                try:
+                    records.append({**replay_payload(payload, trace, summary), **retry_keys})
+                except Exception as error:
+                    records.append(_failed("replay failed: ", error))
+        simulated = True
+    except Exception as error:
+        simulated = False
+        records = [_failed("workload recording failed: " if replay else "", error)] * len(payloads)
+    if degrade:
+        records = [
+            _degraded(payload, member, runner) if member.get("status") == "failed" else member
+            for payload, member in zip(payloads, records)
+        ]
+    return simulated, records
+
+
+def _degraded(
+    payload: dict[str, object], failed: dict[str, object], runner: JobRunner
+) -> dict[str, object]:
+    """Re-run a failed job stripped to its bare workload.
+
+    The fallback drops tools, knob overrides and fine-grained
+    instrumentation — the parts most likely to have failed — so the
+    campaign still gets the cell's baseline summary.  It is one more
+    attempt (``scheduler.job`` fault site included), without retries.  The
+    record is marked ``"degraded"`` (never cached: its content does not
+    match the original digest) and keeps the real job identity, the failure
+    that triggered the fallback and the failed attempts.  When the fallback
+    fails too, the job stays failed.
+    """
+    errors = list(failed["attempt_errors"])
+    try:
+        fallback = ProfileSpec.from_dict(payload).replace(
+            tools=(), knobs=(), fine_grained=False, record_to=None
+        )
+        record = _run_with_retries(fallback.to_dict(), 0, runner)
+    except Exception as error:
+        errors.append({**_errors_of(error)[-1], "attempt": len(errors) + 1})
+        return {**failed, "attempt_errors": errors,
+                "error": f"{failed['error']}; degraded fallback also failed: {_error_detail(error)}"}
+    return {
+        **record, "status": "degraded", "degraded": True,
+        "degraded_from": {"error": failed["error"], "tools": list(payload["tools"])},
+        "job": dict(payload), "attempts": failed["attempts"], "attempt_errors": errors,
+    }
 
 
 @dataclass
@@ -408,15 +469,16 @@ class CampaignScheduler:
     Parameters
     ----------
     jobs:
-        Worker-pool width (``--jobs N``); 1 with ``executor="serial"`` runs
-        everything inline.
+        Worker-pool width (``--jobs N``).
     executor:
         ``"thread"`` (default), ``"process"`` (true parallelism, requires the
-        default picklable runner), or ``"serial"``.
+        default picklable runner), or ``"serial"`` (one task at a time,
+        whatever ``jobs`` says).
     timeout_s:
         Per-task wall-clock budget: per job in simulate mode, per workload
-        group in replay mode.  Every job of a task exceeding it is recorded
-        as ``"timeout"`` and the campaign moves on.
+        group in replay mode, degrade fallbacks included.  Every job of a
+        task exceeding it is recorded as ``"timeout"`` and the campaign
+        moves on.
     retries:
         Re-attempts per job before recording a failure.
     backoff_s / backoff_cap_s:
@@ -427,17 +489,18 @@ class CampaignScheduler:
         Optional result cache (digest-keyed reuse) and JSONL store (append
         per completed job).
     resume:
-        Reconstruct completed work from the store's ``latest_by_digest()``
-        on startup (version-matched ``"ok"`` records become cache hits), so
-        a rerun after a crash simulates only the missing cells.  Default
-        True; meaningless without a store.
+        Reconstruct completed work from one read of the store's
+        ``latest_by_digest()`` on startup (version-matched ``"ok"`` records
+        become cache hits), so a rerun after a crash simulates only the
+        missing cells.  Default True; meaningless without a store.
     leases / shard / steal / steal_timeout_s:
         The distributed fabric: a :class:`~repro.campaign.leases.LeaseManager`
         over a shared lease directory, an optional ``(index, count)`` digest
         shard this worker is primary for, whether to work-steal cells whose
         lease is absent or stale (default True), and how long to wait on
         cells held by other live workers before giving up (None = wait until
-        they finish or their lease goes stale).
+        they finish or their lease goes stale).  Stolen cells run as tasks
+        of the executor, like the worker's own shard.
     on_failure:
         ``"isolate"`` (default), ``"fail_fast"``, or ``"degrade"`` — see the
         module docstring.
@@ -453,9 +516,8 @@ class CampaignScheduler:
         ``jobs``/``executor``, ``timeout_s`` and the failure policies apply
         per group and ``retries`` cover the recording.  Jobs whose spec sets
         ``record_to`` are always simulated, even in replay mode — they need
-        a live event stream to produce their trace artifact.  Work-stolen
-        jobs are likewise always simulated (a stolen cell has no recorded
-        group to share).
+        a live event stream to produce their trace artifact.  Stolen cells
+        that share a workload form a group of their own.
     trace_dir:
         Where replay mode saves each workload group's recording, as
         ``workload-NNNN.pastatrace`` once the recording finishes; with the
@@ -489,7 +551,6 @@ class CampaignScheduler:
         steal: bool = True,
         steal_timeout_s: Optional[float] = None,
         on_failure: str = "isolate",
-        heartbeat_interval_s: Optional[float] = None,
     ) -> None:
         if jobs < 1:
             raise ReproError(f"jobs must be >= 1, got {jobs}")
@@ -530,7 +591,6 @@ class CampaignScheduler:
         self.steal = steal
         self.steal_timeout_s = steal_timeout_s
         self.on_failure = on_failure
-        self.heartbeat_interval_s = heartbeat_interval_s
         self.job_runner: JobRunner = job_runner or execute_payload
         self.version = version if version is not None else repro.__version__
         self.execution = execution
@@ -543,6 +603,8 @@ class CampaignScheduler:
         self._abort: Optional[str] = None
         #: Simulations completed in the current run (``workloads_recorded``).
         self._simulated = 0
+        #: Numbers the current run's ``workload-NNNN.pastatrace`` files.
+        self._trace_numbers = itertools.count()
 
     # ------------------------------------------------------------------ #
     # public API
@@ -570,6 +632,7 @@ class CampaignScheduler:
         telemetry.annotate(campaign=campaign_name, execution=execution)
         self._abort = None
         self._simulated = 0
+        self._trace_numbers = itertools.count()
         self._progress = (
             self.progress if self.progress is not None else active_progress()
         )
@@ -579,7 +642,7 @@ class CampaignScheduler:
             worker=self.leases.owner if self.leases is not None else None,
             shard=list(self.shard) if self.shard is not None else None,
         )
-        resume_map = self._resume_map() if (self.resume and self.store is not None) else {}
+        snapshot = self._store_snapshot() if self.resume else {}
         with telemetry.span(
             "campaign.run",
             campaign=campaign_name,
@@ -597,27 +660,13 @@ class CampaignScheduler:
                     "job", event="queued", index=index, job=job.label(),
                     digest=digest[:12],
                 )
-                # record_to is excluded from the digest (it cannot change the
-                # reports), but a job that asks for a trace file wants that side
-                # artifact produced — never answer it from the cache.
-                use_cache = self.cache is not None and job.record_to is None
-                cached_record = self.cache.get(digest) if use_cache else None
-                if cached_record is not None:
-                    telemetry.counter("campaign.cache_hits").inc()
-                elif job.record_to is None and digest in resume_map:
-                    # Crash-resume: the store already holds this cell's
-                    # result from an earlier (possibly killed) run.  Serve
-                    # it as a cache hit and refill the cache for the fleet.
-                    cached_record = resume_map[digest]
-                    telemetry.counter("campaign.resumed").inc()
-                    if use_cache:
-                        self.cache.put(digest, cached_record)
+                cached_record = self._finished_record(index, job, digest, snapshot)
                 if cached_record is not None:
                     self._record_outcome(outcomes, index, JobOutcome(
                         job=job, digest=digest, status="cached", record=cached_record
                     ), campaign_name)
                 else:
-                    if use_cache:
+                    if self.cache is not None and job.record_to is None:
                         telemetry.counter("campaign.cache_misses").inc()
                     pending.append((index, job, digest))
 
@@ -652,24 +701,44 @@ class CampaignScheduler:
         if self._abort is None:
             self._abort = reason
 
-    def _resume_map(self) -> dict[str, dict[str, object]]:
-        """Completed cells recoverable from the store: digest -> record.
+    def _store_snapshot(self) -> dict[str, dict[str, object]]:
+        """One read of the store: the completed cells it holds, by digest.
 
         Only version-matched ``"ok"`` records count — failed, degraded and
         stale-version records must re-simulate.  Store-only bookkeeping keys
         are stripped so a resumed record is byte-identical to a cache hit.
         """
-        assert self.store is not None
-        out: dict[str, dict[str, object]] = {}
-        for digest, record in self.store.latest_by_digest().items():
-            if record.get("status") != "ok":
-                continue
-            if record.get("version") != self.version:
-                continue
-            out[digest] = {
-                k: v for k, v in record.items() if k not in _STORE_ONLY_KEYS
-            }
-        return out
+        if self.store is None:
+            return {}
+        return {
+            digest: {k: v for k, v in record.items() if k not in _STORE_ONLY_KEYS}
+            for digest, record in self.store.latest_by_digest().items()
+            if record.get("status") == "ok" and record.get("version") == self.version
+        }
+
+    def _finished_record(
+        self, index: int, job: ProfileSpec, digest: str, snapshot: dict[str, dict[str, object]]
+    ) -> Optional[dict[str, object]]:
+        """A completed record for one cell: a cache hit, else a record from
+        the store ``snapshot`` (crash-resume, or another worker's result),
+        which refills the cache for the fleet.
+
+        ``record_to`` is excluded from the digest (it cannot change the
+        reports), but a job that asks for a trace file wants that side
+        artifact produced — it is never answered this way.
+        """
+        if job.record_to is not None:
+            return None
+        telemetry = _active_telemetry()
+        record = self.cache.get(digest) if self.cache is not None else None
+        if record is not None:
+            telemetry.counter("campaign.cache_hits").inc()
+            return record
+        record = snapshot.get(digest)
+        if record is not None:
+            telemetry.counter("campaign.resumed").inc()
+            self._cache_put(index, digest, record)
+        return record
 
     def _run_pending(
         self,
@@ -677,9 +746,10 @@ class CampaignScheduler:
         outcomes: dict[int, JobOutcome],
         campaign_name: str,
         execution: str,
+        stolen: bool = False,
     ) -> None:
         """Execute the cache-missing jobs as tasks, inline or on the pool."""
-        tasks = self._tasks(pending, outcomes, campaign_name, execution)
+        tasks = self._tasks(pending, execution, stolen)
         # The inline path cannot interrupt a task, so any timeout budget
         # forces a (possibly single-worker) pool.
         if self.timeout_s is None and (
@@ -690,38 +760,32 @@ class CampaignScheduler:
             self._run_pool(tasks, outcomes, campaign_name)
 
     def _tasks(
-        self,
-        pending: list[tuple[int, ProfileSpec, str]],
-        outcomes: dict[int, JobOutcome],
-        campaign_name: str,
-        execution: str,
+        self, pending: list[tuple[int, ProfileSpec, str]], execution: str, stolen: bool
     ) -> list[_Task]:
         """One task per job, except that replay mode groups the jobs that
-        share a workload (but not those that set ``record_to``: they need a
-        live event stream to write their own trace)."""
+        share a workload.  A job that sets ``record_to`` needs a live event
+        stream to write its own trace, and one whose ``workload_signature()``
+        raises (it instantiates the job's tools, so an unknown tool name
+        does) fails in a task of its own: both run alone, simulated."""
         tasks: list[_Task] = []
         groups: dict[tuple[object, ...], _Task] = {}
-        for index, job, digest in pending:
-            if execution == "simulate" or job.record_to is not None:
-                tasks.append(_Task([(index, job, digest)]))
-                continue
-            try:
-                # Instantiates the job's tools (to learn their fine-grained
-                # needs), so an unknown tool name must fail this job alone.
-                signature = job.workload_signature()
-            except Exception as error:
-                self._record_outcome(outcomes, index, JobOutcome(
-                    job=job, digest=digest, status="failed",
-                    error=_error_detail(error),
-                ), campaign_name)
+        for entry in pending:
+            signature = None
+            if execution == "replay" and entry[1].record_to is None:
+                try:
+                    signature = entry[1].workload_signature()
+                except Exception:
+                    pass
+            if signature is None:
+                tasks.append(_Task([entry], stolen=stolen))
                 continue
             if signature not in groups:
                 trace_path = None if self.trace_dir is None else str(
-                    Path(self.trace_dir) / f"workload-{len(groups):04d}.pastatrace"
+                    Path(self.trace_dir) / f"workload-{next(self._trace_numbers):04d}.pastatrace"
                 )
-                groups[signature] = _Task([], replay=True, trace_path=trace_path)
+                groups[signature] = _Task([], replay=True, trace_path=trace_path, stolen=stolen)
                 tasks.append(groups[signature])
-            groups[signature].entries.append((index, job, digest))
+            groups[signature].entries.append(entry)
         return tasks
 
     # ------------------------------------------------------------------ #
@@ -766,7 +830,7 @@ class CampaignScheduler:
         beater.start()
         try:
             self._run_pending(claimed, outcomes, campaign_name, execution)
-            self._steal_phase(theirs, outcomes, campaign_name)
+            self._steal_phase(theirs, outcomes, campaign_name, execution)
         finally:
             stop_beating.set()
             beater.join(timeout=5.0)
@@ -774,12 +838,7 @@ class CampaignScheduler:
 
     def _heartbeat_loop(self, stop: threading.Event) -> None:
         assert self.leases is not None
-        interval = (
-            self.heartbeat_interval_s
-            if self.heartbeat_interval_s is not None
-            else max(0.05, self.leases.ttl_s / 3.0)
-        )
-        while not stop.wait(interval):
+        while not stop.wait(max(0.05, self.leases.ttl_s / 3.0)):
             self.leases.heartbeat_all()
 
     def _steal_phase(
@@ -787,58 +846,55 @@ class CampaignScheduler:
         entries: list[tuple[int, ProfileSpec, str]],
         outcomes: dict[int, JobOutcome],
         campaign_name: str,
+        execution: str,
     ) -> None:
         """Resolve the cells other workers are (were) responsible for.
 
-        Each pass over the unresolved cells: serve anything completed
-        elsewhere from the shared cache/store, claim-and-run anything whose
-        lease is absent or stale (work-stealing), and wait on cells held by
-        live workers.  A dead worker's lease stops heartbeating, goes stale
-        within the ttl, and its cells are taken over here.
+        Each pass claims every cell whose lease is absent or stale (a dead
+        worker's lease stops heartbeating and goes stale within the ttl),
+        then reads the store once and answers every cell completed
+        elsewhere.  Claiming first is race-free: a holder releases its lease
+        only after its record is cached and stored.  The claimed rest run as
+        stolen tasks of the executor; cells held by live workers wait for
+        the next pass, which comes at once if this one stole something and
+        after ``poll_s`` otherwise.
         """
         assert self.leases is not None
-        remaining = list(entries)
-        if not remaining:
-            return
-        telemetry = _active_telemetry()
         deadline = (
             time.monotonic() + self.steal_timeout_s
             if self.steal_timeout_s is not None else None
         )
         poll_s = max(0.05, min(self.leases.ttl_s / 4.0, 1.0))
+        remaining = list(entries)
         while remaining:
             if self._abort is not None:
-                self._skip_remaining(remaining, outcomes, campaign_name)
+                self._end(_Task(remaining), "skipped", f"campaign aborted: {self._abort}",
+                          outcomes, campaign_name)
                 return
-            progressed = False
-            unresolved: list[tuple[int, ProfileSpec, str]] = []
+            takeover: dict[str, bool] = {}
+            for _, _, digest in remaining:
+                takeovers_before = self.leases.takeovers
+                if self.steal and self.leases.claim(digest):
+                    takeover[digest] = self.leases.takeovers > takeovers_before
+            snapshot = self._store_snapshot()
+            stolen: list[tuple[int, ProfileSpec, str]] = []
+            waiting: list[tuple[int, ProfileSpec, str]] = []
             for index, job, digest in remaining:
-                record = self._completed_elsewhere(job, digest)
+                record = self._finished_record(index, job, digest, snapshot)
                 if record is not None:
-                    telemetry.counter("campaign.cache_hits").inc()
                     self._record_outcome(outcomes, index, JobOutcome(
                         job=job, digest=digest, status="cached", record=record,
                     ), campaign_name)
-                    progressed = True
-                    continue
-                takeovers_before = self.leases.takeovers
-                if self.steal and self.leases.claim(digest):
-                    self._emit_lease(
-                        "takeover" if self.leases.takeovers > takeovers_before
-                        else "steal",
-                        digest,
-                    )
-                    telemetry.counter("campaign.jobs_stolen").inc()
-                    self._run_inline(
-                        [_Task([(index, job, digest)])], outcomes, campaign_name, stolen=True
-                    )
-                    progressed = True
-                    continue
-                unresolved.append((index, job, digest))
-            remaining = unresolved
-            if not remaining:
-                return
-            if deadline is not None and time.monotonic() >= deadline:
+                elif digest in takeover:
+                    self._emit_lease("takeover" if takeover[digest] else "steal", digest)
+                    stolen.append((index, job, digest))
+                else:
+                    waiting.append((index, job, digest))
+            if stolen:
+                _active_telemetry().counter("campaign.jobs_stolen").inc(len(stolen))
+                self._run_pending(stolen, outcomes, campaign_name, execution, stolen=True)
+            remaining = waiting
+            if remaining and deadline is not None and time.monotonic() >= deadline:
                 for index, job, digest in remaining:
                     holder = self.leases.holder(digest)
                     owner = holder.owner if holder is not None else "unknown"
@@ -848,40 +904,8 @@ class CampaignScheduler:
                               f"{self.steal_timeout_s}s",
                     ), campaign_name)
                 return
-            if not progressed:
+            if remaining and not stolen:
                 _sleep(poll_s)
-
-    def _completed_elsewhere(
-        self, job: ProfileSpec, digest: str
-    ) -> Optional[dict[str, object]]:
-        """Another worker's finished record for ``digest``, if any."""
-        if self.cache is not None and job.record_to is None:
-            record = self.cache.get(digest)
-            if record is not None:
-                return record
-        if self.store is not None and job.record_to is None:
-            record = self.store.latest_by_digest().get(digest)
-            if (
-                record is not None
-                and record.get("status") == "ok"
-                and record.get("version") == self.version
-            ):
-                return {k: v for k, v in record.items() if k not in _STORE_ONLY_KEYS}
-        return None
-
-    def _skip_remaining(
-        self,
-        entries: list[tuple[int, ProfileSpec, str]],
-        outcomes: dict[int, JobOutcome],
-        campaign_name: str,
-    ) -> None:
-        for index, job, digest in entries:
-            if index in outcomes:
-                continue
-            self._record_outcome(outcomes, index, JobOutcome(
-                job=job, digest=digest, status="skipped",
-                error=f"campaign aborted: {self._abort}",
-            ), campaign_name)
 
     # ------------------------------------------------------------------ #
     # execution strategies
@@ -891,6 +915,7 @@ class CampaignScheduler:
         return (
             [job.to_dict() for _, job, _ in task.entries], task.replay, task.trace_path,
             self.job_runner, self.retries, self.backoff_s, self.backoff_cap_s,
+            self.on_failure == "degrade",
         )
 
     def _run_inline(
@@ -898,29 +923,17 @@ class CampaignScheduler:
         tasks: list[_Task],
         outcomes: dict[int, JobOutcome],
         campaign_name: str,
-        stolen: bool = False,
     ) -> None:
         """Run ``tasks`` one after another in the calling thread."""
-        for position, task in enumerate(tasks):
+        for task in tasks:
             if self._abort is not None:
-                self._skip_remaining(
-                    [entry for rest in tasks[position:] for entry in rest.entries],
-                    outcomes, campaign_name,
-                )
-                return
+                self._end(task, "skipped", f"campaign aborted: {self._abort}", outcomes, campaign_name)
+                continue
             for index, job, digest in task.entries:
                 self._emit_job(index, job, digest, "started")
             started = time.monotonic()
-            try:
-                value: Union[list[dict[str, object]], Exception] = _run_task(*self._task_args(task))
-            except Exception as error:
-                value = error
-            self._finish(task, value, time.monotonic() - started, outcomes, campaign_name, stolen)
-
-    def _make_pool(self) -> Executor:
-        if self.executor == "process":
-            return ProcessPoolExecutor(max_workers=self.jobs)
-        return ThreadPoolExecutor(max_workers=self.jobs, thread_name_prefix="pasta-campaign")
+            value = _run_task(*self._task_args(task))
+            self._finish(task, value, time.monotonic() - started, outcomes, campaign_name)
 
     def _wait_slice(self) -> Optional[float]:
         if self.timeout_s is None:
@@ -939,10 +952,13 @@ class CampaignScheduler:
         # (threads and busy processes can't be interrupted); its slot is
         # retired so later tasks never queue behind a hung worker, and the
         # final shutdown does not wait for abandoned tasks.
-        pool = self._make_pool()
+        slots = 1 if self.executor == "serial" else self.jobs
+        pool: Executor = (
+            ProcessPoolExecutor(max_workers=slots) if self.executor == "process"
+            else ThreadPoolExecutor(max_workers=slots, thread_name_prefix="pasta-campaign")
+        )
         queue = list(tasks)
         in_flight: dict[Future, tuple[_Task, float]] = {}
-        slots = self.jobs
         telemetry = _active_telemetry()
         queue_depth = telemetry.gauge("campaign.queue_depth")
         in_flight_gauge = telemetry.gauge("campaign.in_flight")
@@ -950,10 +966,9 @@ class CampaignScheduler:
             while queue or in_flight:
                 if self._abort is not None and queue:
                     # fail_fast: nothing new starts; in-flight tasks drain.
-                    self._skip_remaining(
-                        [entry for task in queue for entry in task.entries],
-                        outcomes, campaign_name,
-                    )
+                    for task in queue:
+                        self._end(task, "skipped", f"campaign aborted: {self._abort}",
+                                  outcomes, campaign_name)
                     queue = []
                 while queue and len(in_flight) < slots:
                     task = queue.pop(0)
@@ -983,104 +998,64 @@ class CampaignScheduler:
                     del in_flight[future]
                     if not future.cancel():
                         slots -= 1  # running and unkillable: retire its worker
-                    for index, job, digest in task.entries:
-                        self._record_outcome(outcomes, index, JobOutcome(
-                            job=job,
-                            digest=digest,
-                            status="timeout",
-                            error=f"job exceeded timeout of {self.timeout_s}s",
-                            duration_s=now - started,
-                        ), campaign_name)
+                    self._end(task, "timeout", f"job exceeded timeout of {self.timeout_s}s",
+                              outcomes, campaign_name, duration_s=now - started)
             for task in queue:
-                for index, job, digest in task.entries:
-                    self._record_outcome(outcomes, index, JobOutcome(
-                        job=job,
-                        digest=digest,
-                        status="failed",
-                        error="job never started: all workers lost to timed-out jobs",
-                    ), campaign_name)
+                self._end(task, "failed", "job never started: all workers lost to timed-out jobs",
+                          outcomes, campaign_name)
         finally:
             pool.shutdown(wait=False, cancel_futures=True)
 
     def _finish(
         self,
         task: _Task,
-        value: Union[list[dict[str, object]], BaseException],
+        value: Union[tuple[bool, list[dict[str, object]]], BaseException],
         duration_s: float,
         outcomes: dict[int, JobOutcome],
         campaign_name: str,
-        stolen: bool = False,
     ) -> None:
-        """Record every job of a finished task from the records
-        :func:`_run_task` returned, or from the error it raised (a replay
-        group's failed recording fails all its jobs).  The members of a group
-        report together, each with the group's duration."""
-        if not isinstance(value, BaseException):
-            self._simulated += 1
-        for position, (index, job, digest) in enumerate(task.entries):
-            if isinstance(value, BaseException):
-                errors = _errors_of(value)
-                outcome = JobOutcome(
-                    job=job, digest=digest, status="failed",
-                    error=("workload recording failed: " if task.replay else "")
-                    + _error_detail(value),
-                    attempts=self.retries + 1, duration_s=duration_s,
-                    errors=errors, backoff_s=_backoff_total(errors),
-                )
+        """Record every job of a finished task from what :func:`_run_task`
+        returned, or from the error the pool raised instead (every member
+        fails).  The members of a group report together, each with the
+        group's duration."""
+        if isinstance(value, BaseException):
+            failed = _failed("workload recording failed: " if task.replay else "", value)
+            value = False, [failed] * len(task.entries)
+        simulated, records = value
+        self._simulated += simulated
+        for position, ((index, job, digest), record) in enumerate(zip(task.entries, records)):
+            status = str(record.get("status"))
+            errors = list(record.get("attempt_errors", ()))
+            outcome = JobOutcome(
+                job=job, digest=digest, status=status if status in ("failed", "degraded") else "ok",
+                attempts=int(record.get("attempts", 1)), duration_s=duration_s, errors=errors,
+                # a group sleeps once: its first job reports it
+                backoff_s=0.0 if position else _backoff_total(errors), stolen=task.stolen,
+            )
+            if status == "failed":
+                outcome.error = str(record.get("error"))
             else:
-                outcome = self._outcome_of(job, digest, value[position], duration_s)
-            if position:
-                outcome.backoff_s = 0.0  # a group sleeps once: its first job reports it
-            outcome.stolen = stolen
+                outcome.record = {**record, "digest": digest, "version": self.version}
+                if status == "degraded":
+                    outcome.error = str(record["degraded_from"]["error"])
             self._record_outcome(outcomes, index, outcome, campaign_name)
 
-    # ------------------------------------------------------------------ #
-    # graceful degradation
-    # ------------------------------------------------------------------ #
-    def _degraded_outcome(self, outcome: JobOutcome) -> JobOutcome:
-        """Re-run a failed job stripped to its bare workload.
-
-        The fallback drops tools, knob overrides and fine-grained
-        instrumentation — the parts most likely to have failed — so the
-        campaign still gets the cell's baseline summary.  The record is
-        marked ``"degraded"`` (never cached: its content does not match the
-        original digest) and keeps the real job identity plus the failure
-        that triggered the fallback.
-        """
-        fallback = outcome.job.replace(
-            tools=(), knobs=(), fine_grained=False, record_to=None
-        )
-        started = time.monotonic()
-        try:
-            record = self.job_runner(fallback.to_dict())
-        except Exception as error:
-            outcome.errors.append(_attempt_error_entry(
-                len(outcome.errors) + 1, error
-            ))
-            outcome.error = (
-                f"{outcome.error}; degraded fallback also failed: "
-                f"{_error_detail(error)}"
-            )
-            return outcome
-        if not isinstance(record, dict):
-            return outcome
-        record = dict(record)
-        record["status"] = "degraded"
-        record["degraded"] = True
-        record["degraded_from"] = {
-            "error": outcome.error,
-            "tools": list(outcome.job.tools),
-        }
-        record["job"] = outcome.job.to_dict()
-        record["digest"] = outcome.digest
-        record["version"] = self.version
-        return JobOutcome(
-            job=outcome.job, digest=outcome.digest, status="degraded",
-            record=record, error=outcome.error, attempts=outcome.attempts,
-            duration_s=outcome.duration_s + (time.monotonic() - started),
-            errors=outcome.errors, backoff_s=outcome.backoff_s,
-            stolen=outcome.stolen,
-        )
+    def _end(
+        self,
+        task: _Task,
+        status: str,
+        error: str,
+        outcomes: dict[int, JobOutcome],
+        campaign_name: str,
+        duration_s: float = 0.0,
+    ) -> None:
+        """Record every job of a task that returned no records: skipped,
+        timed out, or never started."""
+        for index, job, digest in task.entries:
+            self._record_outcome(outcomes, index, JobOutcome(
+                job=job, digest=digest, status=status, error=error,
+                duration_s=duration_s, stolen=task.stolen,
+            ), campaign_name)
 
     # ------------------------------------------------------------------ #
     # bookkeeping
@@ -1100,24 +1075,6 @@ class CampaignScheduler:
             "lease", event=event, digest=digest[:12], owner=self.leases.owner
         )
 
-    def _outcome_of(
-        self, job: ProfileSpec, digest: str, record: dict[str, object], duration_s: float
-    ) -> JobOutcome:
-        """The outcome of one record from :func:`_run_task`: ``"ok"``, or
-        ``"failed"`` for a replay-group member whose replay raised."""
-        attempt_errors = record.get("attempt_errors")
-        errors = list(attempt_errors) if isinstance(attempt_errors, list) else []
-        outcome = JobOutcome(
-            job=job, digest=digest, status="ok",
-            attempts=int(record.get("attempts", 1)),  # type: ignore[arg-type]
-            duration_s=duration_s, errors=errors, backoff_s=_backoff_total(errors),
-        )
-        if record.get("status") == "failed":
-            outcome.status, outcome.error = "failed", str(record.get("error"))
-        else:
-            outcome.record = {**record, "digest": digest, "version": self.version}
-        return outcome
-
     def _record_outcome(
         self,
         outcomes: dict[int, JobOutcome],
@@ -1128,13 +1085,10 @@ class CampaignScheduler:
         """Record one finished job and persist it immediately.
 
         Cache writes and store appends happen per job, as each completes, so
-        an interrupted campaign keeps everything it already simulated.
-        Failure policy is applied here: a ``degrade`` scheduler swaps a
-        failure for its stripped-down fallback, a ``fail_fast`` one arms the
-        abort that stops new work from starting.
+        an interrupted campaign keeps everything it already simulated.  A
+        ``fail_fast`` scheduler arms its abort here, so that no new work
+        starts.
         """
-        if outcome.status == "failed" and self.on_failure == "degrade":
-            outcome = self._degraded_outcome(outcome)
         if not outcome.ok and outcome.status != "skipped" and self.on_failure == "fail_fast":
             self.abort(f"{outcome.job.label()} {outcome.status}: {outcome.error}")
         outcomes[index] = outcome
@@ -1179,7 +1133,7 @@ class CampaignScheduler:
                 telemetry.histogram("campaign.job_s", DURATION_BUCKETS_S).observe(
                     outcome.duration_s
                 )
-        if outcome.status == "ok" and outcome.record is not None and self.cache is not None:
+        if outcome.status == "ok" and outcome.record is not None:
             cached = outcome.record
             job_payload = cached.get("job")
             # The digest ignores record_to, so this entry may later answer a
@@ -1188,19 +1142,24 @@ class CampaignScheduler:
             if isinstance(job_payload, dict) and job_payload.get("record_to") is not None:
                 cached = dict(cached)
                 cached["job"] = {k: v for k, v in job_payload.items() if k != "record_to"}
-            try:
-                self.cache.put(outcome.digest, cached)
-            except Exception as error:
-                # A failing cache (disk full, injected corruption) degrades
-                # throughput, never the campaign.
-                telemetry.counter("campaign.cache_put_errors").inc()
-                self._progress.emit(
-                    "job", event="cache_error", index=index,
-                    digest=outcome.digest[:12], error=_error_detail(error),
-                )
+            self._cache_put(index, outcome.digest, cached)
         self._append_to_store(outcome, campaign_name)
         if self.leases is not None and outcome.digest in self.leases.held:
             self.leases.release(outcome.digest)
+
+    def _cache_put(self, index: int, digest: str, record: dict[str, object]) -> None:
+        """Cache one record, if there is a cache.  A failing cache (disk
+        full, injected corruption) degrades throughput, never the campaign."""
+        if self.cache is None:
+            return
+        try:
+            self.cache.put(digest, record)
+        except Exception as error:
+            _active_telemetry().counter("campaign.cache_put_errors").inc()
+            self._progress.emit(
+                "job", event="cache_error", index=index, digest=digest[:12],
+                error=_error_detail(error),
+            )
 
     def _append_to_store(self, outcome: JobOutcome, campaign_name: str) -> None:
         """Persist one outcome; a failing store never fails the campaign."""
@@ -1232,20 +1191,3 @@ class CampaignScheduler:
                 "job", event="store_error", digest=outcome.digest[:12],
                 error=_error_detail(error),
             )
-
-
-def run_campaign(
-    spec: Union[CampaignSpec, Iterable[ProfileSpec]],
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
-    store_path: Optional[str] = None,
-    **scheduler_kwargs: object,
-) -> CampaignRunResult:
-    """One-call convenience: build a scheduler and run ``spec``."""
-    scheduler = CampaignScheduler(
-        jobs=jobs,
-        cache=ResultCache(cache_dir) if cache_dir else None,
-        store=ResultStore(store_path) if store_path else None,
-        **scheduler_kwargs,  # type: ignore[arg-type]
-    )
-    return scheduler.run(spec)

@@ -83,8 +83,8 @@ class TraceWriter:
         The :class:`TraceHeader` describing the recording.
     chunk_events:
         Events buffered per compressed chunk (the flush granularity).
-    write_index:
-        Whether to emit the ``<path>.idx.json`` seek index on close.
+
+    :meth:`close` also writes the ``<path>.idx.json`` seek index.
     """
 
     def __init__(
@@ -92,14 +92,12 @@ class TraceWriter:
         path: Union[str, Path],
         header: TraceHeader,
         chunk_events: int = DEFAULT_CHUNK_EVENTS,
-        write_index: bool = True,
     ) -> None:
         if chunk_events < 1:
             raise TraceError(f"chunk_events must be >= 1, got {chunk_events}")
         self.path = Path(path)
         self.header = header
         self.chunk_events = chunk_events
-        self.write_index = write_index
         self.events_written = 0
         self._buffer: list[bytes] = []
         self._buffer_categories: set[str] = set()
@@ -226,18 +224,17 @@ class TraceWriter:
         )
         self._file.close()
         self._closed = True
-        if self.write_index:
-            index = {
-                "format_version": TRACE_FORMAT_VERSION,
-                "header": {"offset": 0, "length": self._header_length},
-                "chunks": [chunk.to_dict() for chunk in self._chunks],
-                "footer": {"offset": footer_offset, "length": footer_length},
-                "event_count": footer.event_count,
-                "digest": footer.digest,
-            }
-            index_path_for(self.path).write_text(
-                json.dumps(index, indent=None, sort_keys=True) + "\n", encoding="utf-8"
-            )
+        index = {
+            "format_version": TRACE_FORMAT_VERSION,
+            "header": {"offset": 0, "length": self._header_length},
+            "chunks": [chunk.to_dict() for chunk in self._chunks],
+            "footer": {"offset": footer_offset, "length": footer_length},
+            "event_count": footer.event_count,
+            "digest": footer.digest,
+        }
+        index_path_for(self.path).write_text(
+            json.dumps(index, indent=None, sort_keys=True) + "\n", encoding="utf-8"
+        )
         return footer
 
     def __enter__(self) -> "TraceWriter":

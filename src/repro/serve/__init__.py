@@ -11,8 +11,8 @@ fabric), the service layer is *only* queueing and auth-less multi-tenancy:
   :class:`~repro.campaign.spec.CampaignSpec` submissions and streaming every
   response as JSON Lines;
 * :mod:`repro.serve.jobs` — the persistent worker pool behind it, executing
-  submissions through the unified runner
-  (:func:`repro.api.runner.execute_payload`), answering repeated digests from
+  every submission through the campaign scheduler (a profile job as a
+  one-cell campaign), answering repeated digests from
   the shared content-addressed :class:`~repro.campaign.cache.ResultCache`,
   and journaling every job to a :class:`~repro.campaign.store.ResultStore`
   so a daemon restart (or ``kill -9``) re-enqueues queued work and never

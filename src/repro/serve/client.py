@@ -13,7 +13,7 @@ Remotely, swap ``pasta.profile`` for ``client.profile`` and ``.run()`` for
     reports = handle.result().reports()
 
 and the two ``reports()`` dicts are byte-identical for the same spec,
-because the daemon executes through the very same
+because the daemon's campaign scheduler executes through the very same
 :func:`repro.api.runner.execute_payload` a local run uses.
 
 Everything here is stdlib (``urllib.request`` / ``http.client``); the wire
@@ -423,12 +423,14 @@ class JobHandle:
 
 
 class RemoteRunResult:
-    """A profile job's result: the exact record a local run produces.
+    """A profile job's result: the reports a local run produces.
 
-    ``record`` is byte-for-byte what :func:`repro.api.runner.execute_payload`
-    returned on the daemon (echoed job payload, summary, tool reports);
-    :meth:`reports` matches ``ProfileResult.reports()`` of a local run of
-    the same spec after JSON round-tripping.
+    ``record`` is the daemon's cached record for the spec, the one ``GET
+    /v1/cache/<digest>`` serves: what :func:`repro.api.runner.execute_payload`
+    returned (echoed job payload, summary, tool reports) plus ``attempts``,
+    ``digest`` and ``version``.  :meth:`reports` matches
+    ``ProfileResult.reports()`` of a local run of the same spec after JSON
+    round-tripping.
     """
 
     def __init__(

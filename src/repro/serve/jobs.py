@@ -2,11 +2,12 @@
 
 A :class:`JobManager` owns everything stateful behind the HTTP surface:
 
-* a **worker pool** of plain threads executing profile submissions through
-  the unified runner (:func:`repro.api.runner.execute_payload`) and campaign
-  submissions through :class:`~repro.campaign.scheduler.CampaignScheduler`
-  — the same code paths a local ``pasta profile`` / ``pasta campaign run``
-  takes, which is what makes remote results byte-identical to local ones;
+* a **worker pool** of plain threads running every job through
+  :class:`~repro.campaign.scheduler.CampaignScheduler` — a profile
+  submission as a one-cell campaign — the same executor a local ``pasta
+  campaign run`` uses, which is what makes remote results byte-identical to
+  local ones and gives a profile result the record shape of a campaign
+  cell;
 * the **content-addressed cache** (:class:`~repro.campaign.cache.ResultCache`)
   under ``<data_dir>/cache``: a submission whose spec digest is already
   cached completes without simulating anything, and the same directory is
@@ -41,7 +42,6 @@ from typing import Iterable, Iterator, Mapping, Optional, Union
 
 import repro
 from repro import jsonl
-from repro.api.runner import execute_payload
 from repro.api.spec import ProfileSpec
 from repro.campaign.cache import ResultCache
 from repro.campaign.scheduler import CampaignScheduler
@@ -148,9 +148,10 @@ def _cell(label: str, digest: str, status: str, error: object) -> dict[str, obje
 
 
 class _CellProgress:
-    """Progress-bus sink of one served campaign: each finished cell becomes
-    the job's ``progress`` record, and a cancel request aborts the scheduler
-    (cells not yet started end ``skipped`` and emit no record)."""
+    """Progress-bus sink of one served job: a cancel request aborts the
+    scheduler (cells not yet started end ``skipped`` and emit no record),
+    and each finished cell of a campaign becomes the job's ``progress``
+    record."""
 
     def __init__(self, manager: "JobManager", job: Job, scheduler: CampaignScheduler,
                  digests: list[str]) -> None:
@@ -163,7 +164,8 @@ class _CellProgress:
     def emit(self, kind: str, **fields: object) -> None:
         if self.job.cancel_requested:
             self.scheduler.abort("cancelled by the client")
-        if kind != "job" or fields["event"] != "finished" or fields["status"] == "skipped":
+        if (self.job.kind != "campaign" or kind != "job" or fields["event"] != "finished"
+                or fields["status"] == "skipped"):
             return
         index = int(fields["index"])  # type: ignore[call-overload]
         cell = _cell(str(fields["job"]), self.digests[index], str(fields["status"]), fields["error"])
@@ -517,65 +519,49 @@ class JobManager:
             "serve.job", kind=job.kind, namespace=job.namespace, digest=job.digest
         ):
             try:
-                if job.kind == "campaign":
-                    self._run_campaign(job)
-                else:
-                    self._run_profile(job)
+                self._run_scheduled(job)
             except ReproError as error:
                 self._fail(job, str(error))
             except Exception as error:
                 self._fail(job, f"{type(error).__name__}: {error}")
 
-    def _run_profile(self, job: Job) -> None:
-        telemetry = _active_telemetry()
-        result = self.cache.get(job.digest)
-        cache_hit = result is not None
-        if result is None:
-            result = execute_payload(job.payload)
-            self.cache.put(job.digest, result)
-            with self._cond:
-                self.executed += 1
-            telemetry.counter("serve.simulations").inc()
+    def _run_scheduled(self, job: Job) -> None:
+        """Run a job through the campaign scheduler, inline: a campaign over
+        its grid, a profile job as a one-cell campaign whose result is the
+        cell's record, as the cache holds it."""
+        if job.kind == "campaign":
+            spec: Union[CampaignSpec, list[ProfileSpec]] = CampaignSpec.from_dict(job.payload)
+            digests = [cell.digest(self.version) for cell in spec.expand()]
         else:
-            with self._cond:
-                self.cache_hits += 1
-            telemetry.counter("serve.cache_hits").inc()
-        with self._cond:
-            if job.cancel_requested:
-                # The simulation (if any) still happened and its record is
-                # cached for the next asker; the *job* honours the cancel.
-                self._finish_locked(job, "cancelled")
-                return
-            job.cache_hit = cache_hit
-            job.result = result
-            self._emit_locked(job, jsonl.envelope("result", job_id=job.id, record=result))
-            self._finish_locked(job, "done")
-
-    def _run_campaign(self, job: Job) -> None:
-        """Run a campaign job through the campaign scheduler, inline."""
-        campaign = CampaignSpec.from_dict(job.payload)
-        digests = [cell.digest(self.version) for cell in campaign.expand()]
+            spec, digests = [ProfileSpec.from_dict(job.payload)], [job.digest]
         scheduler = CampaignScheduler(cache=self.cache, version=self.version)
         scheduler.progress = _CellProgress(self, job, scheduler, digests)
-        run = scheduler.run(campaign)
+        run = scheduler.run(spec)
         telemetry = _active_telemetry()
         telemetry.counter("serve.simulations").inc(run.executed)
         telemetry.counter("serve.cache_hits").inc(run.cached)
-        # Per-cell reports stay content-addressed in the cache — the result
-        # lists their digests so a client fetches exactly what it wants via
-        # GET /v1/cache/<digest> instead of one giant payload.
-        result = {
-            "campaign": run.name,
-            "total": run.total,
-            "executed": run.executed,
-            "cached": run.cached,
-            "failed": run.failed,
-            "cells": [_cell(o.job.label(), o.digest, o.status, o.error) for o in run.outcomes],
-        }
+        if job.kind == "campaign":
+            # Per-cell reports stay content-addressed in the cache — the
+            # result lists their digests so a client fetches exactly what it
+            # wants via GET /v1/cache/<digest> instead of one giant payload.
+            result = {
+                "campaign": run.name,
+                "total": run.total,
+                "executed": run.executed,
+                "cached": run.cached,
+                "failed": run.failed,
+                "cells": [_cell(o.job.label(), o.digest, o.status, o.error) for o in run.outcomes],
+            }
+        elif run.outcomes[0].record is None:
+            raise ReproError(str(run.outcomes[0].error))
+        else:
+            result = run.outcomes[0].record
         with self._cond:
             self.executed += run.executed
             self.cache_hits += run.cached
             if job.cancel_requested:
+                # A finished simulation's record stays cached for the next
+                # asker; the *job* honours the cancel.
                 self._finish_locked(job, "cancelled")
                 return
             job.cache_hit = run.total > 0 and run.cached == run.total

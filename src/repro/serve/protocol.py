@@ -19,11 +19,14 @@ Record types
     ``status`` / ``cache_hit`` / ``digest``), emitted as each grid cell
     finishes.
 ``result``
-    The job's result payload.  For profile jobs, ``record`` is exactly what
-    :func:`repro.api.runner.execute_payload` returns — which is why a remote
-    run is byte-identical to a local one.  For campaign jobs, ``record``
-    carries the merged summary plus per-cell digests (full per-cell reports
-    stay content-addressed behind ``GET /v1/cache/<digest>``).
+    The job's result payload.  A profile job runs as a one-cell campaign,
+    and its ``record`` is that cell's cached record — what ``GET
+    /v1/cache/<digest>`` serves: the record of
+    :func:`repro.api.runner.execute_payload` (the same reports a local run
+    produces) plus ``attempts``, ``digest`` and ``version``.  For campaign
+    jobs, ``record`` carries the merged summary plus per-cell digests (full
+    per-cell reports stay content-addressed behind ``GET
+    /v1/cache/<digest>``).
 ``error``
     A failure the *request* (not a job) ran into: ``code`` mirrors the HTTP
     status (400 bad spec, 404 unknown job, 429 quota exceeded, 503 job

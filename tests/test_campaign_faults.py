@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import threading
+import time
 
 import pytest
 
@@ -219,6 +221,16 @@ class TestTornWrites:
         with pytest.raises(ReproError):
             store.load(strict=True)
 
+    def test_a_failing_cache_refill_never_fails_a_resumed_campaign(self, tmp_path):
+        store = ResultStore(tmp_path / "results.jsonl")
+        CampaignScheduler(store=store, job_runner=_stub_runner).run(_jobs(2), name="first")
+        plan = FaultPlan(rules=(FaultRule(site="cache.put", kind="error"),))
+        with faults_scope(FaultInjector(plan)):
+            result = CampaignScheduler(
+                store=store, cache=ResultCache(tmp_path / "cache"), job_runner=_stub_runner,
+            ).run(_jobs(2), name="resumed")
+        assert [o.status for o in result.outcomes] == ["cached", "cached"]
+
     def test_torn_cache_write_quarantined_on_next_get(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         digest = "ab" + "0" * 62
@@ -307,6 +319,85 @@ class TestFailurePolicies:
         outcome = result.outcomes[0]
         assert outcome.status == "failed"
         assert "degraded fallback also failed" in outcome.error
+
+    def test_degraded_record_keeps_the_attempts_and_counts_no_workload(self):
+        def runner(payload):
+            if payload.get("tools"):
+                raise RuntimeError("tool exploded")
+            return _stub_runner(payload)
+
+        jobs = [ProfileSpec(model="alexnet", iterations=1, tools=("kernel_frequency",)),
+                ProfileSpec(model="alexnet", batch_size=2, iterations=1)]
+        result = CampaignScheduler(
+            job_runner=runner, on_failure="degrade", retries=1,
+        ).run(jobs, name="deg4")
+        assert [o.status for o in result.outcomes] == ["degraded", "ok"]
+        record = result.outcomes[0].record
+        assert record["attempts"] == result.outcomes[0].attempts == 2
+        assert [e["attempt"] for e in record["attempt_errors"]] == [1, 2]
+        # A fallback is not the cell's simulation: workloads_recorded still
+        # equals executed in simulate mode.
+        assert result.workloads_recorded == result.executed == 1
+
+    def test_a_failed_recording_degrades_every_member_of_its_group(self, monkeypatch):
+        def broken(payload, trace):
+            raise RuntimeError("simulator exploded")
+
+        monkeypatch.setattr(scheduler_module, "record_workload_trace", broken)
+        jobs = [ProfileSpec(model="alexnet", iterations=1, tools=(tool,))
+                for tool in ("kernel_frequency", "hotness")]
+        result = CampaignScheduler(
+            job_runner=_stub_runner, on_failure="degrade", execution="replay",
+        ).run(jobs, name="deg-group")
+        assert [o.status for o in result.outcomes] == ["degraded", "degraded"]
+        assert all("workload recording failed" in o.error for o in result.outcomes)
+        assert [o.record["job"]["tools"] for o in result.outcomes] == [["kernel_frequency"], ["hotness"]]
+        assert result.workloads_recorded == 0
+
+    def test_degrade_fallback_runs_inside_its_tasks_timeout(self):
+        release = threading.Event()
+
+        def runner(payload):
+            if payload["batch_size"] == 2:
+                release.wait(5.0)  # hangs
+            elif payload.get("tools"):
+                raise RuntimeError("tool exploded")
+            else:
+                release.wait(3.0)  # the slow fallback
+            return _stub_runner(payload)
+
+        jobs = [ProfileSpec(model="alexnet", iterations=1, tools=("kernel_frequency",)),
+                ProfileSpec(model="alexnet", batch_size=2, iterations=1)]
+        try:
+            result = CampaignScheduler(
+                jobs=2, timeout_s=1.0, job_runner=runner, on_failure="degrade",
+            ).run(jobs, name="deg-timeout")
+        finally:
+            release.set()
+        assert [o.status for o in result.outcomes] == ["timeout", "timeout"]
+        assert all(o.duration_s < 2.0 for o in result.outcomes)
+        assert result.duration_s < 2.0
+
+
+class TestSerialExecutor:
+    def test_a_timeout_keeps_the_serial_executor_one_job_wide(self):
+        lock = threading.Lock()
+        running, peak = [0], [0]
+
+        def runner(payload):
+            with lock:
+                running[0] += 1
+                peak[0] = max(peak[0], running[0])
+            time.sleep(0.05)
+            with lock:
+                running[0] -= 1
+            return _stub_runner(payload)
+
+        result = CampaignScheduler(
+            executor="serial", jobs=4, timeout_s=60.0, job_runner=runner,
+        ).run(_jobs(4), name="serial")
+        assert result.executed == 4
+        assert peak[0] == 1
 
 
 class TestRunnerFaultSite:

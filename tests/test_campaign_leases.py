@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+import threading
 import time
 
 import pytest
 
+import repro
 from repro.api import ProfileSpec
 from repro.campaign import (
     CampaignScheduler,
@@ -15,6 +17,7 @@ from repro.campaign import (
     ResultStore,
     shard_of,
 )
+from repro.campaign import scheduler as scheduler_module
 from repro.campaign.leases import LEASE_SUFFIX, LeaseInfo
 from repro.errors import ReproError
 
@@ -230,3 +233,105 @@ class TestShardedCampaign:
             CampaignScheduler(
                 leases=LeaseManager(tmp_path), shard=(2, 2)
             )
+
+
+def _foreign_jobs(n):
+    """``n`` jobs whose digests fall in shard 1 of 2, so that a shard-0
+    worker steals every one of them."""
+    jobs = [j for j in _jobs(10 * n) if shard_of(j.digest(repro.__version__), 2) == 1]
+    assert len(jobs) >= n, "grid too small: too few cells landed in shard 1"
+    return jobs[:n]
+
+
+def _sleeping_runner(seconds, release=None):
+    """A stub job that takes ``seconds`` (or until ``release`` is set)."""
+    def runner(payload):
+        if release is None:
+            time.sleep(seconds)
+        else:
+            release.wait(seconds)
+        return _stub_runner(payload)
+    return runner
+
+
+class _LeaseEvents:
+    """Progress sink that sets ``contested`` once ``n`` cells of the
+    worker's own shard turned out to be held by another worker."""
+
+    def __init__(self, n):
+        self.n = n
+        self.seen = 0
+        self.contested = threading.Event()
+
+    def emit(self, kind, **fields):
+        if kind == "lease" and fields["event"] == "contested":
+            self.seen += 1
+            if self.seen == self.n:
+                self.contested.set()
+
+
+class TestStolenCellsRunOnTheExecutor:
+    def test_stolen_cells_obey_the_timeout(self, tmp_path):
+        release = threading.Event()
+        try:
+            result = CampaignScheduler(
+                jobs=4, timeout_s=0.3, job_runner=_sleeping_runner(1.0, release),
+                leases=LeaseManager(tmp_path / "leases", ttl_s=30.0), shard=(0, 2),
+            ).run(_foreign_jobs(4), name="stolen-timeout")
+        finally:
+            release.set()
+        assert [o.status for o in result.outcomes] == ["timeout"] * 4
+        assert result.stolen == 4
+        assert result.duration_s < 0.9
+
+    def test_stolen_cells_run_jobs_wide(self, tmp_path):
+        result = CampaignScheduler(
+            jobs=4, job_runner=_sleeping_runner(0.5),
+            leases=LeaseManager(tmp_path / "leases", ttl_s=30.0), shard=(0, 2),
+        ).run(_foreign_jobs(4), name="stolen-wide")
+        assert result.executed == result.stolen == 4
+        assert result.duration_s < 1.0
+
+    def test_a_live_workers_cells_are_answered_from_one_store_read_per_pass(
+        self, tmp_path, monkeypatch
+    ):
+        jobs = _jobs(30)
+        version = repro.__version__
+        store = ResultStore(tmp_path / "results.jsonl")
+        other = LeaseManager(tmp_path / "leases", owner="other", ttl_s=60.0)
+        for job in jobs:
+            assert other.claim(job.digest(version))
+        reads, naps = [], []
+        read_store = store.latest_by_digest
+        monkeypatch.setattr(store, "latest_by_digest", lambda: reads.append(1) or read_store())
+        monkeypatch.setattr(scheduler_module, "_sleep", lambda s: naps.append(s) or time.sleep(0.05))
+        events = _LeaseEvents(len(jobs))
+
+        def live_worker():
+            # Starts once the waiting worker found every cell leased, then
+            # stores each cell's record before releasing its lease.
+            assert events.contested.wait(30.0)
+            for job in jobs:
+                time.sleep(0.005)
+                digest = job.digest(version)
+                store.append({**_stub_runner(job.to_dict()), "attempts": 1,
+                              "digest": digest, "version": version})
+                other.release(digest)
+
+        ran = []
+        scheduler = CampaignScheduler(
+            store=store, progress=events,
+            leases=LeaseManager(tmp_path / "leases", owner="me", ttl_s=60.0),
+            job_runner=lambda payload: ran.append(payload) or _stub_runner(payload),
+        )
+        thread = threading.Thread(target=live_worker)
+        thread.start()
+        try:
+            result = scheduler.run(jobs, name="live")
+        finally:
+            thread.join()
+        assert [o.status for o in result.outcomes] == ["cached"] * len(jobs)
+        assert ran == []
+        # One read on startup (crash-resume), then one per steal pass; every
+        # pass but the last sleeps, since none of them stole anything.
+        assert len(reads) <= 1 + len(naps) + 1

@@ -26,6 +26,7 @@ from pathlib import Path
 
 import pytest
 
+import repro
 from repro import pasta
 from repro.campaign.faults import FaultInjector, FaultPlan, FaultRule, faults_scope
 from repro.core.serialization import json_sanitize, stable_json_dumps
@@ -139,6 +140,22 @@ class TestLifecycle:
         rerun = client.submit(CAMPAIGN).result(timeout=300)
         assert rerun.cached == 4 and rerun.executed == 0
         assert daemon.manager.executed == 4
+
+    def test_profile_result_is_the_cached_cell_record(self, daemon: PastaDaemon) -> None:
+        client = connect(daemon.url)
+        # A profile job fills the cache with its own record ...
+        first = client.submit(SPEC).result(timeout=120)
+        # ... or a one-cell campaign over the same spec filled it first.
+        campaign = client.submit({
+            "name": "one-cell", "models": ["alexnet"], "tools": ["hotness"], "iterations": 2,
+        }).result(timeout=120)
+        second = client.submit({**SPEC, "iterations": 2}).result(timeout=120)
+        assert second.cache_hit and [c["digest"] for c in campaign.cells] == [second.digest]
+        for result in (first, second):
+            assert result.record == client.cache_get(result.digest)
+            assert result.record["digest"] == result.digest
+            assert result.record["version"] == repro.__version__
+        assert sorted(first.record) == sorted(second.record)
 
     def test_remote_builder_redirects_local_verbs(self, daemon: PastaDaemon) -> None:
         builder = connect(daemon.url).profile("alexnet")
