@@ -11,8 +11,10 @@ Times the end-to-end profiled workloads the fast-path work targets —
   two simulated A100s through the ProfileSpec parallelism path (one
   instrumented session per rank over a shared DeviceSet);
 
-plus ``--quick`` variants small enough for a CI smoke step — and writes the
-results to ``BENCH_pipeline.json``.  Each entry holds the best wall time and
+plus ``--quick`` variants small enough for a CI smoke step, among them
+``record_fine_gpt2_quick``: the ``fine_gpt2_quick`` run recording its trace
+(``record_to``) into a temporary directory, so the gate also covers the
+trace writer — and writes the results to ``BENCH_pipeline.json``.  Each entry holds the best wall time and
 the logical records processed (``records``, ``records_per_second``): a
 columnar batch counts its length, as in ``perfbench``.
 
@@ -33,6 +35,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -84,6 +87,12 @@ QUICK_WORKLOADS: dict[str, tuple[dict, int]] = {
              fine_grained=True, tools=list(FINE_TOOLS)),
         3,
     ),
+    "record_fine_gpt2_quick": (
+        dict(model="gpt2", mode="train", iterations=1,
+             fine_grained=True, tools=list(FINE_TOOLS),
+             record_to="fine_gpt2.pastatrace"),
+        3,
+    ),
     "parallel_tp_megatron_quick": (
         dict(model="megatron_gpt2_345m", iterations=1,
              parallelism={"strategy": "tp", "world_size": 2},
@@ -99,14 +108,20 @@ def logical_records(processor: PastaEventProcessor) -> int:
 
 
 def run_one(name: str, kwargs: dict, repeats: int) -> dict[str, object]:
-    """Benchmark one workload; returns its result entry."""
+    """Benchmark one workload; returns its result entry.
+
+    A ``record_to`` file name is written into a temporary directory.
+    """
     best = float("inf")
     records = 0
     for _ in range(repeats):
-        started = time.perf_counter()
-        result = api.run(kwargs["model"], **{k: v for k, v in kwargs.items()
-                                             if k != "model"})
-        elapsed = time.perf_counter() - started
+        with tempfile.TemporaryDirectory(prefix="pasta-bench-") as scratch:
+            run_kwargs = {k: v for k, v in kwargs.items() if k != "model"}
+            if "record_to" in run_kwargs:
+                run_kwargs["record_to"] = Path(scratch) / run_kwargs["record_to"]
+            started = time.perf_counter()
+            result = api.run(kwargs["model"], **run_kwargs)
+            elapsed = time.perf_counter() - started
         best = min(best, elapsed)
         # Parallel profiles run one session per rank; sum their pipelines.
         sessions = getattr(result, "sessions", None) or [result.session]

@@ -37,7 +37,10 @@ directory — can run *one* grid together:
 * **Leases** — each job is claimed through a
   :class:`~repro.campaign.leases.LeaseManager` before execution (atomic
   ``O_EXCL`` claim files with pid/host/owner and heartbeats), so two workers
-  never simulate the same cell.  A heartbeat thread keeps held leases fresh;
+  never simulate the same cell.  After claiming its own shard, a scheduler
+  looks the claimed cells up once more (the cache, then one store read
+  unless ``resume`` is off) and answers those another worker finished in
+  the meantime.  A heartbeat thread keeps held leases fresh;
   a worker that dies (``kill -9``) simply stops heartbeating and its leases
   go stale.
 * **Work-stealing** — after its own shard, a scheduler sweeps the remaining
@@ -822,6 +825,11 @@ class CampaignScheduler:
                 self._emit_lease("contested", entry[2])
                 theirs.append(entry)
         telemetry.counter("campaign.leases_claimed").inc(len(claimed))
+        if claimed:
+            # The first pass looked these cells up before they were claimed; a
+            # worker may have finished and released one since.
+            snapshot = self._store_snapshot() if self.resume else {}
+            claimed = self._answer_finished(claimed, snapshot, outcomes, campaign_name)
         stop_beating = threading.Event()
         beater = threading.Thread(
             target=self._heartbeat_loop, args=(stop_beating,),
@@ -876,16 +884,13 @@ class CampaignScheduler:
                 takeovers_before = self.leases.takeovers
                 if self.steal and self.leases.claim(digest):
                     takeover[digest] = self.leases.takeovers > takeovers_before
-            snapshot = self._store_snapshot()
             stolen: list[tuple[int, ProfileSpec, str]] = []
             waiting: list[tuple[int, ProfileSpec, str]] = []
-            for index, job, digest in remaining:
-                record = self._finished_record(index, job, digest, snapshot)
-                if record is not None:
-                    self._record_outcome(outcomes, index, JobOutcome(
-                        job=job, digest=digest, status="cached", record=record,
-                    ), campaign_name)
-                elif digest in takeover:
+            unfinished = self._answer_finished(
+                remaining, self._store_snapshot(), outcomes, campaign_name
+            )
+            for index, job, digest in unfinished:
+                if digest in takeover:
                     self._emit_lease("takeover" if takeover[digest] else "steal", digest)
                     stolen.append((index, job, digest))
                 else:
@@ -906,6 +911,28 @@ class CampaignScheduler:
                 return
             if remaining and not stolen:
                 _sleep(poll_s)
+
+    def _answer_finished(
+        self,
+        entries: list[tuple[int, ProfileSpec, str]],
+        snapshot: dict[str, dict[str, object]],
+        outcomes: dict[int, JobOutcome],
+        campaign_name: str,
+    ) -> list[tuple[int, ProfileSpec, str]]:
+        """Answer the cells finished elsewhere, from the cache or the store
+        ``snapshot``, as ``cached``; returns the rest.  Looked up after
+        claiming, no cell is missed: a holder releases its lease only after
+        its record is cached and stored."""
+        rest: list[tuple[int, ProfileSpec, str]] = []
+        for index, job, digest in entries:
+            record = self._finished_record(index, job, digest, snapshot)
+            if record is None:
+                rest.append((index, job, digest))
+            else:
+                self._record_outcome(outcomes, index, JobOutcome(
+                    job=job, digest=digest, status="cached", record=record,
+                ), campaign_name)
+        return rest
 
     # ------------------------------------------------------------------ #
     # execution strategies

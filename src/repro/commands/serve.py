@@ -1,7 +1,7 @@
 """``pasta serve`` — run the profiling-as-a-service daemon.
 
 Boots a :class:`~repro.serve.daemon.PastaDaemon` on the calling thread and
-serves until interrupted::
+serves until interrupted (SIGINT or SIGTERM; either exits 0)::
 
     pasta serve --data-dir .pasta-serve --port 8080 --workers 4
 
@@ -17,6 +17,7 @@ re-simulating.
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
 
 #: Default daemon state directory, relative to the working directory.
@@ -52,7 +53,7 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_serve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    """Run the daemon until SIGINT; exits 0 on a clean shutdown."""
+    """Run the daemon until SIGINT or SIGTERM; exits 0 on a clean shutdown."""
     from repro.serve.daemon import PastaDaemon
     from repro.serve.jobs import DEFAULT_QUOTA_INFLIGHT
 
@@ -68,6 +69,12 @@ def cmd_serve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         quota_total=args.quota_total,
         fsync=args.fsync,
     )
+    # A background job of a non-interactive shell (`cmd &` under `bash -e`)
+    # starts with SIGINT ignored, and SIGTERM would kill the process without
+    # closing the daemon: both interrupt the serve loop the way Ctrl-C does.
+    if signal.getsignal(signal.SIGINT) is signal.SIG_IGN:
+        signal.signal(signal.SIGINT, signal.default_int_handler)
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     # The boot line prints inside the try: a Ctrl-C that lands between the
     # announce and the serve loop must still shut down cleanly (exit 0),
     # not escape as an unhandled KeyboardInterrupt.

@@ -4,8 +4,15 @@ This package turns one simulation into arbitrarily many analyses — the
 record-once/analyze-many model of vendor profilers' offline workflows:
 
 * :mod:`repro.replay.format` — the versioned on-disk trace format: per-event
-  codecs with schema-version checks, and a gzip-compressed chunked JSONL
-  container with a provenance header and a digest-bearing footer;
+  codecs with schema-version checks, and a container of gzip members (zlib
+  level 1) with a provenance header, a digest-bearing footer and chunks in
+  between.  A version-2 chunk holds a JSON line per event, with every batch
+  column moved into a little-endian buffer in the narrowest unsigned dtype
+  that holds it (int64 otherwise; bool columns packed to bits;
+  ``InstructionBatch.kinds`` as codes into the chunk's kind table), and the
+  reader widens the buffers back to int64/bool arrays.  The footer digest
+  is the SHA-256 of the uncompressed chunk bytes.  Version 1 (release
+  1.6.0) chunks, all JSON lines, stay readable;
 * :mod:`repro.replay.writer` — :class:`TraceWriter`, the buffered recording
   tap that ``PastaSession(trace_writer=...)`` installs between the event
   handler and the event processor, and :class:`MemoryTrace`, the same tap

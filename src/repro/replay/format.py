@@ -7,21 +7,49 @@ as nvbit and rocprofiler).
 
 Container layout
 ----------------
-A trace is a sequence of **concatenated gzip members**:
+A trace is a sequence of **concatenated gzip members**, each compressed at
+zlib level 1:
 
 * member 0 — one JSON line: the :class:`TraceHeader` (``"kind": "header"``),
-  carrying the device spec, analysis model, backend, package version and the
-  schema fingerprint of every registered event codec;
-* members 1..N — **chunks**: up to ``chunk_events`` encoded events, one JSON
-  line each (``"type": <codec tag>``);
+  carrying the format version, device spec, analysis model, backend,
+  package version and the schema fingerprint of every registered event
+  codec;
+* members 1..N — **chunks**: up to ``chunk_events`` events each, laid out
+  by :func:`encode_chunk` and read back by :func:`decode_chunk`;
 * the final member — one JSON line: the :class:`TraceFooter`
   (``"kind": "footer"``) with event counts, per-category counts and the
-  SHA-256 content digest of the encoded event lines.
+  SHA-256 digest of the uncompressed chunk bytes, in order.
 
 Because every chunk is an independent gzip member, a sidecar index of
 ``(offset, length)`` pairs (written by :class:`~repro.replay.writer.TraceWriter`)
 allows seeking straight to any chunk or to the footer without decompressing
 the whole stream.
+
+Chunk layout (format version 2)
+-------------------------------
+A chunk's uncompressed bytes are three sections:
+
+* a 12-byte prefix: the magic ``PTC2``, then the chunk's event count and the
+  byte length of the text section, each a little-endian uint32;
+* the text section, UTF-8 lines: line 0 is the JSON list of the
+  :class:`~repro.gpusim.instruction.InstructionKind` values that kind codes
+  index (the chunk's kind table), then one JSON line per event;
+* the column section: the buffers of every batch column, back to back, in
+  event order and, within one event, in field order.
+
+A coarse event's line is its codec record, exactly as in version 1.  A
+batch event's line holds its scalar fields the same way, and each column
+field (the ``COLUMN_DTYPES``, plus ``InstructionBatch.kinds`` as codes into
+the kind table) holds ``[wire dtype, length]`` in place of its values.  An
+integer column is stored little-endian in the smallest unsigned dtype that
+holds its range (``"|u1"``, ``"<u2"``, ``"<u4"``), and as ``"<i8"``
+otherwise; a bool column is packed eight to a byte in little bit order
+(``"bits"``).  Decoding widens every column with ``np.frombuffer`` back to
+the int64/bool arrays (and the kinds tuple) the tools expect.
+
+Version 1 (release 1.6.0) chunks are JSON lines, one codec record per
+event, with batch columns as JSON lists; they stay readable.  In both
+versions the footer digest covers the uncompressed chunk bytes.
 
 Event codecs
 ------------
@@ -30,12 +58,13 @@ codec derived from its resolved type hints: encoding routes through
 :func:`~repro.core.serialization.json_sanitize` (so codec output is always
 JSON-native and survives further sanitisation unchanged), and decoding
 rebuilds enums, nested dataclasses, tuples and integer-keyed maps from the
-hints.  A batch event's numpy columns (its ``COLUMN_DTYPES``) are written as
-JSON lists and decoded by handing each list to the event's constructor,
-which coerces it back to an array in one call.  Each codec carries a *schema
-fingerprint* — a digest of the event class's field names and types —
-recorded in the header and checked on read, so a trace written under a
-different event schema fails loudly instead of silently misdecoding.
+hints.  :func:`encode_event` writes a batch event's numpy columns as JSON
+lists (the version-1 line), and :func:`decode_event` hands each list to the
+event's constructor, which coerces it back to an array in one call.  Each
+codec carries a *schema fingerprint* — a digest of the event class's field
+names and types in that JSON form — recorded in the header and checked on
+read, so a trace written under a different event schema fails loudly
+instead of silently misdecoding.
 """
 
 from __future__ import annotations
@@ -43,10 +72,11 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import struct
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Mapping, Optional, Union, get_args, get_origin, get_type_hints
+from typing import Any, Mapping, Optional, Sequence, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -57,14 +87,18 @@ from repro.core.serialization import json_sanitize
 from repro.errors import TraceFormatError, TraceSchemaError
 from repro.gpusim.device import DeviceSpec, Vendor
 
-#: Version of the container layout (bumped on incompatible changes).
-TRACE_FORMAT_VERSION = 1
+#: Version of the container layout written (bumped on incompatible changes);
+#: version 1 traces stay readable.
+TRACE_FORMAT_VERSION = 2
 
 #: Conventional file suffix for PASTA traces.
 TRACE_SUFFIX = ".pastatrace"
 
 #: Default number of events per compressed chunk.
 DEFAULT_CHUNK_EVENTS = 1024
+
+#: zlib level of every gzip member.
+COMPRESS_LEVEL = 1
 
 
 # --------------------------------------------------------------------------- #
@@ -85,6 +119,9 @@ class EventCodec:
     #: reflective walk over typing generics per value.
     field_decoders: tuple[tuple[str, Any], ...] = ()
     field_encoders: tuple[tuple[str, Any], ...] = ()
+    #: ``{field name: np.int64, np.bool_ or an Enum class}`` of the batch
+    #: columns a version-2 chunk stores as buffers, in field order.
+    columns: Mapping[str, type] = field(default_factory=dict)
 
 
 _CODECS: dict[str, EventCodec] = {}
@@ -206,6 +243,23 @@ def _make_value_encoder(hint: Any):
     return json_sanitize
 
 
+def _buffer_columns(cls: type, hints: Mapping[str, Any]) -> dict[str, type]:
+    """A batch class's ``COLUMN_DTYPES``, plus its tuple-of-enum fields
+    (``InstructionBatch.kinds``), in field order; ``{}`` for other events."""
+    dtypes = getattr(cls, "COLUMN_DTYPES", None)
+    if not dtypes:
+        return {}
+    columns: dict[str, type] = {}
+    for f in dataclasses.fields(cls):
+        args = get_args(hints.get(f.name))
+        if f.name in dtypes:
+            columns[f.name] = dtypes[f.name]
+        elif len(args) == 2 and args[1] is Ellipsis and isinstance(args[0], type) \
+                and issubclass(args[0], Enum):
+            columns[f.name] = args[0]
+    return columns
+
+
 def register_event_codec(cls: type, tag: Optional[str] = None) -> EventCodec:
     """Register a codec for an event dataclass (idempotent per class)."""
     if not (dataclasses.is_dataclass(cls) and issubclass(cls, PastaEvent)):
@@ -230,6 +284,7 @@ def register_event_codec(cls: type, tag: Optional[str] = None) -> EventCodec:
             (f.name, _make_value_encoder(hints.get(f.name)))
             for f in dataclasses.fields(cls)
         ),
+        columns=_buffer_columns(cls, hints),
     )
     _CODECS[tag] = codec
     _CODECS_BY_CLS[cls] = codec
@@ -257,14 +312,29 @@ def dumps_record(record: Mapping[str, object]) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
-def encode_event(event: PastaEvent) -> dict[str, object]:
-    """Encode one event into a JSON-native record tagged with its codec."""
+def _encoding_codec(event: PastaEvent) -> EventCodec:
     codec = _CODECS_BY_CLS.get(type(event))
     if codec is None:
         raise TraceFormatError(
             f"no codec registered for event class {type(event).__name__!r}; "
             f"register it with register_event_codec()"
         )
+    return codec
+
+
+def _decoding_codec(record: Mapping[str, object]) -> EventCodec:
+    tag = record.get("type")
+    codec = _CODECS.get(str(tag))
+    if codec is None:
+        raise TraceFormatError(
+            f"unknown event type tag {tag!r}; known: {sorted(_CODECS)}"
+        )
+    return codec
+
+
+def encode_event(event: PastaEvent) -> dict[str, object]:
+    """Encode one event into a JSON-native record tagged with its codec."""
+    codec = _encoding_codec(event)
     record: dict[str, object] = {"type": codec.tag}
     for name, encode in codec.field_encoders:
         record[name] = encode(getattr(event, name))
@@ -273,17 +343,127 @@ def encode_event(event: PastaEvent) -> dict[str, object]:
 
 def decode_event(record: Mapping[str, object]) -> PastaEvent:
     """Decode one record back into its event dataclass (inverse of encode)."""
-    tag = record.get("type")
-    codec = _CODECS.get(str(tag))
-    if codec is None:
-        raise TraceFormatError(
-            f"unknown event type tag {tag!r}; known: {sorted(_CODECS)}"
-        )
+    codec = _decoding_codec(record)
     return codec.cls(**{
         name: decode(record[name])
         for name, decode in codec.field_decoders
         if name in record
     })
+
+
+# --------------------------------------------------------------------------- #
+# chunk layout (see the module docstring)
+# --------------------------------------------------------------------------- #
+#: Magic, event count and text-section length at the start of a version-2 chunk.
+_CHUNK_PREFIX = struct.Struct("<4sII")
+_CHUNK_MAGIC = b"PTC2"
+
+#: Unsigned wire dtypes, narrowest first; a column outside them is int64.
+_NARROW_DTYPES = tuple(np.dtype(code) for code in ("|u1", "<u2", "<u4"))
+_WIRE_DTYPES = {dtype.str: dtype for dtype in (*_NARROW_DTYPES, np.dtype("<i8"))}
+_PACKED_BOOLS = "bits"
+
+
+def _narrow(column: np.ndarray) -> np.ndarray:
+    """An int64 column in the smallest unsigned dtype that holds its range."""
+    low, high = (int(column.min()), int(column.max())) if column.size else (0, 0)
+    if low >= 0:
+        for dtype in _NARROW_DTYPES:
+            if high <= np.iinfo(dtype).max:
+                return column.astype(dtype)
+    return column.astype("<i8")
+
+
+def encode_chunk(events: Sequence[PastaEvent]) -> bytes:
+    """Lay ``events`` out as one version-2 chunk (uncompressed)."""
+    kind_codes: dict[Enum, int] = {}
+    lines: list[str] = []
+    buffers: list[bytes] = []
+    for event in events:
+        codec = _encoding_codec(event)
+        if not codec.columns:
+            lines.append(dumps_record(encode_event(event)))
+            continue
+        record: dict[str, object] = {"type": codec.tag}
+        for name, encode in codec.field_encoders:
+            kind = codec.columns.get(name)
+            value = getattr(event, name)
+            if kind is None:
+                record[name] = encode(value)
+                continue
+            if kind is np.bool_:
+                record[name] = [_PACKED_BOOLS, len(value)]
+                buffers.append(np.packbits(value, bitorder="little").tobytes())
+                continue
+            if kind is not np.int64:  # enum members -> codes into the kind table
+                value = np.array(
+                    [kind_codes.setdefault(member, len(kind_codes)) for member in value],
+                    dtype=np.int64,
+                )
+            column = _narrow(value)
+            record[name] = [column.dtype.str, len(column)]
+            buffers.append(column.tobytes())
+        lines.append(dumps_record(record))
+    text = "\n".join([json.dumps([kind.value for kind in kind_codes]), *lines]).encode("utf-8")
+    return b"".join([_CHUNK_PREFIX.pack(_CHUNK_MAGIC, len(events), len(text)), text, *buffers])
+
+
+def decode_chunk(payload: bytes, format_version: int = TRACE_FORMAT_VERSION) -> list[PastaEvent]:
+    """The events of one chunk's uncompressed bytes (inverse of :func:`encode_chunk`).
+
+    ``format_version`` is the trace header's: version 1 chunks are JSON lines.
+    """
+    if format_version < 2:
+        return [decode_event(json.loads(line)) for line in payload.splitlines() if line.strip()]
+    if len(payload) < _CHUNK_PREFIX.size:
+        raise TraceFormatError(f"trace chunk of {len(payload)} bytes has no chunk prefix")
+    magic, count, text_length = _CHUNK_PREFIX.unpack_from(payload)
+    if magic != _CHUNK_MAGIC:
+        raise TraceFormatError(f"trace chunk starts with {magic!r}, not {_CHUNK_MAGIC!r}")
+    offset = _CHUNK_PREFIX.size + text_length
+    table_line, *lines = payload[_CHUNK_PREFIX.size:offset].decode("utf-8").split("\n")
+    kind_table = json.loads(table_line)
+    members: dict[type, list[Enum]] = {}
+    events: list[PastaEvent] = []
+    for line in lines:
+        record = json.loads(line)
+        codec = _decoding_codec(record)
+        if not codec.columns:
+            events.append(decode_event(record))
+            continue
+        fields: dict[str, object] = {}
+        for name, decode in codec.field_decoders:
+            kind = codec.columns.get(name)
+            if kind is None:
+                if name in record:
+                    fields[name] = decode(record[name])
+                continue
+            wire, length = record[name]
+            if not (isinstance(length, int) and length >= 0
+                    and (wire == _PACKED_BOOLS or wire in _WIRE_DTYPES)):
+                raise TraceFormatError(f"trace chunk column {name!r} is {record[name]!r}")
+            if wire == _PACKED_BOOLS:
+                size = (length + 7) // 8
+                fields[name] = np.unpackbits(
+                    np.frombuffer(payload, np.uint8, size, offset), count=length, bitorder="little",
+                ).astype(np.bool_)
+            else:
+                dtype = _WIRE_DTYPES[wire]
+                size = dtype.itemsize * length
+                column = np.frombuffer(payload, dtype, length, offset).astype(np.int64)
+                if kind is not np.int64:
+                    table = members.get(kind) or members.setdefault(kind, [kind(v) for v in kind_table])
+                    fields[name] = tuple(map(table.__getitem__, column.tolist()))
+                else:
+                    fields[name] = column
+            offset += size
+        events.append(codec.cls(**fields))
+    if len(events) != count or offset != len(payload):
+        raise TraceFormatError(
+            f"trace chunk holds {len(events)} events and {len(payload) - offset} spare "
+            f"column bytes; its prefix announces {count} events"
+        )
+    return events
 
 
 #: The complete built-in event taxonomy (Table II) gets a codec at import time.
@@ -420,7 +600,7 @@ class TraceFooter:
     event_count: int = 0
     chunk_count: int = 0
     category_counts: dict[str, int] = field(default_factory=dict)
-    #: SHA-256 over the encoded (uncompressed) event lines, in order.
+    #: SHA-256 over the uncompressed chunk bytes, in order.
     digest: str = ""
     #: False when the recording was aborted (e.g. the workload crashed
     #: mid-session): the events written are internally consistent, but the

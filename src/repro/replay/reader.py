@@ -1,11 +1,13 @@
 """Streaming trace reader with slicing and chunk-level random access.
 
 :class:`TraceReader` consumes the container written by
-:class:`~repro.replay.writer.TraceWriter`.  When the sidecar index is present
-it reads the header and footer directly (no full decompression), can seek to
-any chunk, and skips whole chunks whose recorded category set cannot match a
-category filter; without the index it falls back to a plain streaming scan,
-so a bare ``.pastatrace`` file is always sufficient.
+:class:`~repro.replay.writer.TraceWriter`, in format version 2 or 1.  When
+the sidecar index is present it reads the header and footer directly (no
+full decompression), can seek to any chunk, and skips whole chunks whose
+recorded category set cannot match a category filter; without the index it
+walks the gzip members in file order, so a bare ``.pastatrace`` file is
+always sufficient.  Every chunk is decoded by
+:func:`~repro.replay.format.decode_chunk`.
 
 Slicing
 -------
@@ -30,6 +32,7 @@ import contextlib
 import dataclasses
 import gzip
 import hashlib
+import itertools
 import json
 import zlib
 from pathlib import Path
@@ -44,11 +47,15 @@ from repro.core.events import (
     RegionEvent,
 )
 from repro.errors import TraceError, TraceFormatError
-from repro.replay.format import TraceFooter, TraceHeader, decode_event
+from repro.replay.format import TraceFooter, TraceHeader, decode_chunk
 from repro.replay.writer import TraceWriter, index_path_for
 
 #: Category filter values may be enum members or their string values.
 CategoryFilter = Optional[Iterable[Union[str, EventCategory]]]
+
+
+#: Bytes read per call while walking the gzip members of a trace.
+_READ_BYTES = 1 << 20
 
 
 @contextlib.contextmanager
@@ -59,6 +66,30 @@ def _decoding(path: Path) -> Iterator[None]:
         yield
     except (gzip.BadGzipFile, EOFError, zlib.error, ValueError) as error:
         raise TraceFormatError(f"corrupt trace {path}: {error}") from error
+
+
+def _gzip_members(path: Path) -> Iterator[bytes]:
+    """The uncompressed bytes of every gzip member of ``path``, in file order."""
+    with open(path, "rb") as fh:
+        data = fh.read(_READ_BYTES)
+        while data:
+            inflater = zlib.decompressobj(wbits=16 + zlib.MAX_WBITS)  # one gzip member
+            parts = []
+            while not inflater.eof:
+                if not data:
+                    raise EOFError("trace ends inside a gzip member")
+                parts.append(inflater.decompress(data))
+                data = inflater.unused_data if inflater.eof else fh.read(_READ_BYTES)
+            yield b"".join(parts)
+            data = data or fh.read(_READ_BYTES)
+
+
+def _container_record(payload: bytes) -> dict:
+    """The record of a header or footer member; ``{}`` for a chunk."""
+    if not payload.startswith(b"{"):
+        return {}  # a version-2 chunk starts with its binary prefix
+    record = json.loads(payload.split(b"\n", 1)[0])
+    return record if isinstance(record, dict) and record.get("kind") in ("header", "footer") else {}
 
 
 def _normalize_categories(categories: CategoryFilter) -> Optional[frozenset[str]]:
@@ -124,19 +155,26 @@ class TraceReader:
         """True when the sidecar seek index is available."""
         return self._index is not None
 
-    def _read_member(self, entry: dict) -> list[dict]:
-        """The records of the gzip member an index entry locates."""
+    def _read_payload(self, entry: dict) -> bytes:
+        """The uncompressed bytes of the gzip member an index entry locates."""
         with open(self.path, "rb") as fh:
             fh.seek(int(entry["offset"]))
             compressed = fh.read(int(entry["length"]))
         with _decoding(self.path):
-            return [json.loads(line) for line in gzip.decompress(compressed).splitlines()]
+            return gzip.decompress(compressed)
+
+    def _read_record(self, entry: dict) -> dict:
+        """The header or footer record an index entry locates."""
+        payload = self._read_payload(entry)
+        with _decoding(self.path):
+            return _container_record(payload)
 
     def _read_header(self) -> TraceHeader:
         if self._index is not None:
-            record = self._read_member(self._index["header"])[0]
+            record = self._read_record(self._index["header"])
         else:
-            record = next(self._all_records(), {})
+            with _decoding(self.path):
+                record = _container_record(next(_gzip_members(self.path), b""))
         return TraceHeader.from_record(record)
 
     @property
@@ -144,39 +182,42 @@ class TraceReader:
         """The trace footer (direct read with an index, full scan without)."""
         if self._footer is None:
             if self._index is not None:
-                record = self._read_member(self._index["footer"])[0]
+                record = self._read_record(self._index["footer"])
             else:
-                record = None
-                for candidate in self._all_records():
-                    record = candidate
-                if not (isinstance(record, dict) and record.get("kind") == "footer"):
+                with _decoding(self.path):
+                    record = {}
+                    for payload in _gzip_members(self.path):
+                        record = _container_record(payload)
+                if record.get("kind") != "footer":
                     raise TraceFormatError(f"trace {self.path} has no footer (truncated?)")
             self._footer = TraceFooter.from_record(record)
         return self._footer
 
-    def _all_records(self) -> Iterator[dict]:
-        """Every JSON record in file order, including header and footer."""
-        with _decoding(self.path), gzip.open(self.path, "rb") as fh:
-            for line in fh:
-                if line.strip():
-                    yield json.loads(line)
+    def _decode(self, payload: bytes) -> list[PastaEvent]:
+        with _decoding(self.path):
+            return decode_chunk(payload, int(self.header.format_version))
 
-    def _event_records(
+    def _chunk_payloads(self) -> Iterator[bytes]:
+        """Every chunk's uncompressed bytes, walking the gzip members."""
+        with _decoding(self.path):
+            for payload in _gzip_members(self.path):
+                if not _container_record(payload):
+                    yield payload
+
+    def _chunks(
         self, chunk_categories: Optional[frozenset[str]] = None
-    ) -> Iterator[dict]:
-        """Encoded event records; ``chunk_categories`` enables chunk skipping."""
-        if self._index is not None:
-            for chunk in self._index["chunks"]:
-                if chunk_categories is not None and not (
-                    set(chunk.get("categories") or ()) & chunk_categories
-                ):
-                    continue
-                yield from self._read_member(chunk)
+    ) -> Iterator[list[PastaEvent]]:
+        """Decoded chunks in order; ``chunk_categories`` enables chunk skipping."""
+        if self._index is None:
+            for payload in self._chunk_payloads():
+                yield self._decode(payload)
             return
-        for record in self._all_records():
-            if record.get("kind") in ("header", "footer"):
+        for chunk in self._index["chunks"]:
+            if chunk_categories is not None and not (
+                set(chunk.get("categories") or ()) & chunk_categories
+            ):
                 continue
-            yield record
+            yield self._decode(self._read_payload(chunk))
 
     # ------------------------------------------------------------------ #
     # chunk-level random access
@@ -196,7 +237,7 @@ class TraceReader:
         chunks = self._index["chunks"]
         if not 0 <= index < len(chunks):
             raise TraceError(f"chunk index {index} out of range [0, {len(chunks)})")
-        return [decode_event(record) for record in self._read_member(chunks[index])]
+        return self._decode(self._read_payload(chunks[index]))
 
     # ------------------------------------------------------------------ #
     # event streaming with slicing
@@ -232,11 +273,10 @@ class TraceReader:
         if kernel_window:
             # Backends emit a kernel's fine-grained events *before* its
             # canonical launch-end event, so the window's launch-id set must
-            # be collected in a cheap pre-pass over the raw records.
+            # be collected in a pre-pass over the kernel-launch chunks.
             launches_in_window = self._launches_in_window(start_grid_id, end_grid_id)
         region_depth = 0
-        for record in self._event_records(skip_filter):
-            event = decode_event(record)
+        for event in itertools.chain.from_iterable(self._chunks(skip_filter)):
             if device_index is not None and event.device_index != device_index:
                 continue
             if region is not None:
@@ -268,21 +308,20 @@ class TraceReader:
     ) -> frozenset[int]:
         """Launch ids of the kernel launches inside a grid-index window.
 
-        Works on the raw records (no event decoding) so the pre-pass costs
-        one decompress + JSON parse of the kernel-launch lines only.
+        With an index, the pre-pass decodes only the chunks that hold
+        kernel launches.
         """
-        launch_tag = KernelLaunchEvent.__name__
         kernel_chunks = frozenset({EventCategory.KERNEL_LAUNCH.value})
         launches = set()
-        for record in self._event_records(kernel_chunks):
-            if record.get("type") != launch_tag:
-                continue
-            grid_index = int(record.get("grid_index", 0))
-            if start_grid_id is not None and grid_index < start_grid_id:
-                continue
-            if end_grid_id is not None and grid_index > end_grid_id:
-                continue
-            launches.add(int(record.get("launch_id", 0)))
+        for chunk in self._chunks(kernel_chunks):
+            for event in chunk:
+                if not isinstance(event, KernelLaunchEvent):
+                    continue
+                if start_grid_id is not None and event.grid_index < start_grid_id:
+                    continue
+                if end_grid_id is not None and event.grid_index > end_grid_id:
+                    continue
+                launches.add(event.launch_id)
         return frozenset(launches)
 
     def __iter__(self) -> Iterator[PastaEvent]:
@@ -292,22 +331,14 @@ class TraceReader:
     # verification / summary / slicing
     # ------------------------------------------------------------------ #
     def verify(self) -> bool:
-        """Recompute the content digest and compare against the footer."""
+        """Recompute the content digest over the uncompressed chunk bytes,
+        and the event count, and compare both against the footer."""
         footer = self.footer
         hasher = hashlib.sha256()
         count = 0
-        previous: Optional[bytes] = None
-        first = True
-        with _decoding(self.path), gzip.open(self.path, "rb") as fh:
-            for line in fh:
-                if first:
-                    first = False  # header line: never part of the digest
-                    continue
-                if previous is not None:
-                    hasher.update(previous)
-                    count += 1
-                previous = line
-        # `previous` now holds the footer line, which is not hashed.
+        for payload in self._chunk_payloads():
+            hasher.update(payload)
+            count += len(self._decode(payload))
         return hasher.hexdigest() == footer.digest and count == footer.event_count
 
     def info(self) -> dict[str, object]:

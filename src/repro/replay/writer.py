@@ -2,10 +2,11 @@
 
 :class:`TraceWriter` persists a normalised event stream into the chunked,
 gzip-member container described in :mod:`repro.replay.format`.  Events are
-buffered and compressed one chunk at a time, so the per-event cost on the
-recording (live) session is one dict encode plus a JSON dump; compression
-happens every ``chunk_events`` events.  Closing the writer emits the footer
-(counts + content digest) and a sidecar index that maps every chunk to its
+buffered and laid out one chunk at a time (:func:`~repro.replay.format.encode_chunk`),
+so the per-event cost on the recording (live) session is one list append
+and a category count; encoding and compression happen every
+``chunk_events`` events.  Closing the writer emits the footer (counts +
+content digest) and a sidecar index that maps every chunk to its
 ``(offset, length)`` byte span for random access.
 
 The profile runner (:func:`repro.api.execute`) owns the writer and hands it
@@ -18,6 +19,7 @@ analysis model — which is exactly what makes the trace replayable under a
 
 from __future__ import annotations
 
+import dataclasses
 import gzip
 import hashlib
 import json
@@ -28,12 +30,13 @@ from typing import Iterable, Iterator, Optional, Union
 from repro.core.events import EventCategory, KernelLaunchEvent, PastaEvent
 from repro.errors import TraceError
 from repro.replay.format import (
+    COMPRESS_LEVEL,
     DEFAULT_CHUNK_EVENTS,
     TRACE_FORMAT_VERSION,
     TraceFooter,
     TraceHeader,
     dumps_record,
-    encode_event,
+    encode_chunk,
 )
 
 #: Suffix appended to the trace path for the seek index sidecar.
@@ -96,10 +99,14 @@ class TraceWriter:
         if chunk_events < 1:
             raise TraceError(f"chunk_events must be >= 1, got {chunk_events}")
         self.path = Path(path)
+        if int(header.format_version) < TRACE_FORMAT_VERSION:
+            # A header carried over from an older trace (a slice of it, say):
+            # this file holds chunks in the current layout.
+            header = dataclasses.replace(header, format_version=TRACE_FORMAT_VERSION)
         self.header = header
         self.chunk_events = chunk_events
         self.events_written = 0
-        self._buffer: list[bytes] = []
+        self._buffer: list[PastaEvent] = []
         self._buffer_categories: set[str] = set()
         self._buffer_min_grid: Optional[int] = None
         self._buffer_max_grid: Optional[int] = None
@@ -129,9 +136,7 @@ class TraceWriter:
         """Append one event to the trace (buffered)."""
         if self._closed:
             raise TraceError(f"trace writer for {self.path} is already closed")
-        line = (dumps_record(encode_event(event)) + "\n").encode("utf-8")
-        self._hasher.update(line)
-        self._buffer.append(line)
+        self._buffer.append(event)
         category = event.category.value if isinstance(event.category, EventCategory) else str(event.category)
         self._buffer_categories.add(category)
         self._category_counts[category] = self._category_counts.get(category, 0) + 1
@@ -153,7 +158,7 @@ class TraceWriter:
         """
         from repro.campaign.faults import active_faults  # lazy: repro.campaign imports us
 
-        member = gzip.compress(payload, mtime=0)
+        member = gzip.compress(payload, compresslevel=COMPRESS_LEVEL, mtime=0)
         try:
             fault = active_faults().fire("trace.write", label=str(self.path))
             if fault is not None and fault.kind == "torn_write":
@@ -161,18 +166,28 @@ class TraceWriter:
                 raise TraceError(f"injected torn write at {self.path}")
             self._file.write(member)
         except BaseException:
-            self._complete = False
-            self._closed = True
-            self._file.close()
+            self._fail()
             raise
         self._offset += len(member)
         return len(member)
+
+    def _fail(self) -> None:
+        """Give the file up unfinished: no footer and no index follow."""
+        self._complete = False
+        self._closed = True
+        self._file.close()
 
     def _flush_chunk(self) -> None:
         if not self._buffer:
             return
         offset = self._offset
-        length = self._write_member(b"".join(self._buffer))
+        try:
+            payload = encode_chunk(self._buffer)
+        except BaseException:
+            self._fail()  # like a failed write: the chunk cannot be written
+            raise
+        self._hasher.update(payload)
+        length = self._write_member(payload)
         self._chunks.append(ChunkInfo(
             offset=offset,
             length=length,

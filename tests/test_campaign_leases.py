@@ -224,6 +224,36 @@ class TestShardedCampaign:
         assert len(gave_up) == len(foreign)
         assert all("leased by other" in o.error for o in gave_up)
 
+    def test_a_cell_finished_before_its_claim_is_answered_not_run(self, tmp_path, monkeypatch):
+        jobs = _jobs(3)
+        version = repro.__version__
+        store = ResultStore(tmp_path / "results.jsonl")
+        leases = LeaseManager(tmp_path / "leases", owner="me", ttl_s=60.0)
+        claim, finished = leases.claim, []
+
+        def claim_after_another_worker_finished(digest):
+            # Another worker stores the first cell and releases its lease
+            # after this scheduler's first pass read the store, before this
+            # scheduler claims the cell.
+            if not finished:
+                job = next(j for j in jobs if j.digest(version) == digest)
+                store.append({**_stub_runner(job.to_dict()), "attempts": 1,
+                              "digest": digest, "version": version})
+                finished.append(digest)
+            return claim(digest)
+
+        monkeypatch.setattr(leases, "claim", claim_after_another_worker_finished)
+        ran = []
+        result = CampaignScheduler(
+            store=store, leases=leases,
+            job_runner=lambda payload: ran.append(payload) or _stub_runner(payload),
+        ).run(jobs, name="claim-race")
+        statuses = {o.digest: o.status for o in result.outcomes}
+        assert statuses.pop(finished[0]) == "cached"
+        assert list(statuses.values()) == ["ok"] * (len(jobs) - 1)
+        assert len(ran) == len(jobs) - 1
+        assert finished[0] not in {ProfileSpec.from_dict(p).digest(version) for p in ran}
+
     def test_shard_requires_leases(self):
         with pytest.raises(ReproError, match="lease manager"):
             CampaignScheduler(shard=(0, 2))

@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import gc
 import gzip
+import hashlib
 import json
 import re
+import shutil
+import struct
 import threading
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,7 +70,7 @@ from repro.replay import (
     index_path_for,
     replay_trace,
 )
-from repro.replay.format import dumps_record
+from repro.replay.format import decode_chunk, dumps_record, encode_chunk
 from repro.replay.replayer import TraceAddressResolver
 from repro.tools import (
     KernelFrequencyTool,
@@ -463,13 +467,8 @@ class TestContainer:
         raw = path.read_bytes()
         header_bytes = raw[:chunk["offset"]]
         footer_bytes = raw[chunk["offset"] + chunk["length"]:]
-        from repro.core.serialization import stable_json_dumps
-
-        forged_lines = b"".join(
-            (stable_json_dumps(encode_event(e)) + "\n").encode()
-            for e in (MemcpyEvent(size=1), MemcpyEvent(size=999))
-        )
-        path.write_bytes(header_bytes + gzip.compress(forged_lines, mtime=0) + footer_bytes)
+        forged_chunk = encode_chunk([MemcpyEvent(size=1), MemcpyEvent(size=999)])
+        path.write_bytes(header_bytes + gzip.compress(forged_chunk, mtime=0) + footer_bytes)
         index_path_for(path).unlink()
         assert not TraceReader(path).verify()
 
@@ -514,6 +513,20 @@ class TestContainer:
         with pytest.raises(TraceFormatError, match=re.escape(str(trace))):
             TraceReader(trace).footer
 
+    def test_an_event_without_a_codec_fails_the_recording_like_a_torn_write(self, tmp_path):
+        class Unregistered(MemcpyEvent):
+            pass
+
+        path = tmp_path / "t.pastatrace"
+        writer = TraceWriter(path, make_header(), chunk_events=2)
+        writer.write(MemcpyEvent(size=1))
+        with pytest.raises(TraceFormatError, match="no codec registered"):
+            writer.write(Unregistered(size=2))  # fills the chunk: encoded here
+        assert writer.closed
+        assert not index_path_for(path).exists()
+        with pytest.raises(TraceFormatError, match="no footer"):
+            TraceReader(path).footer
+
     def test_schema_mismatch_raises(self, tmp_path):
         path = tmp_path / "t.pastatrace"
         header = make_header()
@@ -556,6 +569,180 @@ class TestContainer:
         writer.close()
         with pytest.raises(TraceError):
             writer.write(MemcpyEvent(size=1))
+
+
+# --------------------------------------------------------------------------- #
+# version-2 chunk columns
+# --------------------------------------------------------------------------- #
+#: Column values at the edges of each wire dtype, and the dtype each must
+#: narrow to: the smallest unsigned dtype holding the range, else int64.
+COLUMN_EDGES = {
+    "zero": ([0], "|u1"),
+    "u1_max": ([0, 255], "|u1"),
+    "u2_min": ([255, 256], "<u2"),
+    "u2_max": ([65535], "<u2"),
+    "u4_min": ([65536, 0], "<u4"),
+    "u4_max": ([2**32 - 1], "<u4"),
+    "i8_min": ([2**32, 1], "<i8"),
+    "i8_max": ([2**63 - 1, 0, 7], "<i8"),
+    "negative": ([5, -1], "<i8"),
+}
+
+
+def wire_record(event) -> dict:
+    """The text-section line a version-2 chunk holds for ``event`` alone."""
+    payload = encode_chunk([event])
+    _, count, text_length = struct.unpack_from("<4sII", payload)
+    assert count == 1
+    return json.loads(payload[12:12 + text_length].split(b"\n")[1])
+
+
+def assert_batches_equal(decoded, original):
+    assert type(decoded) is type(original)
+    for name, dtype in type(original).COLUMN_DTYPES.items():
+        column = getattr(decoded, name)
+        assert isinstance(column, np.ndarray) and column.dtype == dtype, name
+        np.testing.assert_array_equal(column, getattr(original, name), err_msg=name)
+    assert encode_event(decoded) == encode_event(original)
+
+
+def edge_batches(values) -> list[PastaEvent]:
+    flags = [i % 3 == 1 for i in range(len(values))]
+    kinds = [InstructionKind.BLOCK_ENTRY, InstructionKind.BARRIER][: len(values)]
+    kinds += [InstructionKind.BLOCK_EXIT] * (len(values) - len(kinds))
+    return [
+        MemoryAccessBatch(kernel_launch_id=9, addresses=values, sizes=values,
+                          write_flags=flags, thread_indices=values,
+                          block_indices=values, device_index=1, timestamp_ns=5),
+        InstructionBatch(kernel_launch_id=9, kinds=tuple(kinds), thread_indices=values,
+                         block_indices=values, source="nvbit"),
+    ]
+
+
+class TestChunkColumns:
+    @pytest.mark.parametrize("edge", sorted(COLUMN_EDGES))
+    def test_columns_narrow_to_the_smallest_dtype_holding_their_range(self, edge):
+        values, wire = COLUMN_EDGES[edge]
+        for batch in edge_batches(values):
+            record = wire_record(batch)
+            for name in batch.COLUMN_DTYPES:
+                expected = "bits" if name == "write_flags" else wire
+                assert record[name] == [expected, len(values)], name
+
+    @pytest.mark.parametrize("edge", sorted(COLUMN_EDGES))
+    def test_narrowing_is_lossless_through_a_trace_file(self, edge, tmp_path):
+        values, _ = COLUMN_EDGES[edge]
+        originals = edge_batches(values)
+        path = tmp_path / "edges.pastatrace"
+        with TraceWriter(path, make_header(), chunk_events=1) as writer:
+            for batch in originals:
+                writer.write(batch)
+        decoded = list(TraceReader(path).events())
+        assert len(decoded) == len(originals)
+        for got, original in zip(decoded, originals):
+            assert_batches_equal(got, original)
+        assert decoded[1].kinds == originals[1].kinds
+
+    @pytest.mark.parametrize("length", [0, 1, 7, 8, 9, 15, 17])
+    def test_packed_write_flags_of_any_length_round_trip(self, length, tmp_path):
+        rng = np.random.default_rng(length)
+        originals = [
+            MemoryAccessBatch(
+                kernel_launch_id=length,
+                addresses=rng.integers(0, 1 << 40, length),
+                sizes=np.full(length, 4), write_flags=rng.random(length) < 0.5,
+                thread_indices=np.arange(length), block_indices=np.zeros(length, int),
+            ),
+            MemcpyEvent(size=length),  # a coarse event between two batches
+            MemoryAccessBatch(write_flags=np.ones(length, bool), addresses=np.arange(length),
+                              sizes=np.ones(length, int), thread_indices=np.arange(length),
+                              block_indices=np.arange(length)),
+        ]
+        path = tmp_path / "flags.pastatrace"
+        with TraceWriter(path, make_header()) as writer:
+            for event in originals:
+                writer.write(event)
+        decoded = list(TraceReader(path).events())
+        assert_batches_equal(decoded[0], originals[0])
+        assert events_equal(decoded[1], originals[1])
+        assert_batches_equal(decoded[2], originals[2])
+
+    def test_empty_batches_round_trip(self, tmp_path):
+        originals = [MemoryAccessBatch(kernel_launch_id=4), InstructionBatch(kernel_launch_id=4)]
+        path = tmp_path / "empty.pastatrace"
+        with TraceWriter(path, make_header()) as writer:
+            for batch in originals:
+                writer.write(batch)
+        decoded = list(TraceReader(path).events())
+        for got, original in zip(decoded, originals):
+            assert len(got) == 0
+            assert_batches_equal(got, original)
+        assert decoded[1].kinds == ()
+
+    def test_a_chunk_that_disagrees_with_its_prefix_is_refused(self):
+        payload = encode_chunk(sample_events())
+        with pytest.raises(TraceFormatError, match="announces"):
+            decode_chunk(payload + b"\0")
+        with pytest.raises(TraceFormatError, match="PTC2"):
+            decode_chunk(b"XXXX" + payload[4:])
+
+    @pytest.mark.parametrize("forged", ['["|u1",-3]', '["<f8",3]', '["|u1","3"]'])
+    def test_a_bad_column_descriptor_is_refused(self, forged):
+        payload = encode_chunk(edge_batches([1, 2, 3])[:1])
+        _, count, text_length = struct.unpack_from("<4sII", payload)
+        text = payload[12:12 + text_length].replace(b'["|u1",3]', forged.encode(), 1)
+        forged_payload = (struct.pack("<4sII", b"PTC2", count, len(text)) + text
+                          + payload[12 + text_length:])
+        with pytest.raises(TraceFormatError, match="addresses"):
+            decode_chunk(forged_payload)
+
+
+# --------------------------------------------------------------------------- #
+# format version 1 (release 1.6.0) stays readable
+# --------------------------------------------------------------------------- #
+#: A version-1 trace and its index, written by release 1.6.0: the
+#: ``start_grid_id=0, end_grid_id=2`` slice of a fine-grained alexnet
+#: batch-2 recording on an A100 (both batch classes, 146 events).
+V1_FIXTURE = Path(__file__).parent / "data" / "alexnet_fine_v1.pastatrace"
+
+V1_FIXTURE_TOOLS = ["kernel_frequency", "memory_characteristics", "hotness",
+                    "inefficiency_locator", "memory_timeline", "access_histogram"]
+
+#: Digest of the fixture's replayed reports under ``V1_FIXTURE_TOOLS``,
+#: taken with release 1.6.0.
+V1_FIXTURE_REPORT_DIGEST = "d3b100af225d7c96"
+
+
+def report_digest(result) -> str:
+    return hashlib.sha256(stable_json_dumps(result.reports()).encode()).hexdigest()[:16]
+
+
+class TestFormatVersion1:
+    def test_fixture_verifies_and_replays_to_the_release_reports(self):
+        reader = TraceReader(V1_FIXTURE)
+        assert reader.header.format_version == 1
+        assert reader.indexed and reader.verify()
+        counts = reader.footer.category_counts
+        assert counts["memory_access_batch"] == 3 and counts["instruction_batch"] == 6
+        result = api.replay(V1_FIXTURE, tools=V1_FIXTURE_TOOLS)
+        assert report_digest(result) == V1_FIXTURE_REPORT_DIGEST
+
+    def test_fixture_reads_the_same_without_its_index(self, tmp_path):
+        bare = tmp_path / V1_FIXTURE.name
+        shutil.copyfile(V1_FIXTURE, bare)
+        reader = TraceReader(bare)
+        assert not reader.indexed and reader.verify()
+        assert event_lists_equal(reader.events(), TraceReader(V1_FIXTURE).events())
+
+    def test_a_slice_of_a_v1_trace_is_written_as_v2(self, tmp_path):
+        out = tmp_path / "v2.pastatrace"
+        TraceReader(V1_FIXTURE).slice_to(out)
+        reader = TraceReader(out)
+        assert reader.header.format_version == TRACE_FORMAT_VERSION == 2
+        assert reader.verify()
+        assert event_lists_equal(reader.events(), TraceReader(V1_FIXTURE).events())
+        result = api.replay(out, tools=V1_FIXTURE_TOOLS)
+        assert report_digest(result) == V1_FIXTURE_REPORT_DIGEST
 
 
 # --------------------------------------------------------------------------- #

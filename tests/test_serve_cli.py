@@ -26,6 +26,12 @@ ROOT = Path(__file__).resolve().parents[1]
 
 _ENTRY = "import sys; from repro.commands import main; sys.exit(main())"
 
+#: The CLI as a background job of a non-interactive shell (``cmd &`` under
+#: ``bash -e``) runs it: with SIGINT ignored from the start.
+_ENTRY_SIGINT_IGNORED = (
+    "import signal, sys; signal.signal(signal.SIGINT, signal.SIG_IGN); " + _ENTRY
+)
+
 _BOOT_RE = re.compile(
     r"^pasta serve listening on (?P<url>http://\S+) "
     r"\(data: .*, workers: \d+, resumed: (?P<resumed>\d+)\)$"
@@ -49,8 +55,8 @@ def _env(**extra: str) -> dict[str, str]:
     return env
 
 
-def _cli(*args: str) -> list[str]:
-    return [sys.executable, "-c", _ENTRY, *args]
+def _cli(*args: str, entry: str = _ENTRY) -> list[str]:
+    return [sys.executable, "-c", entry, *args]
 
 
 def run_cli(*args: str, env: Optional[dict[str, str]] = None,
@@ -69,10 +75,10 @@ class Daemon:
     """A ``pasta serve`` subprocess plus its scraped boot facts."""
 
     def __init__(self, data_dir: Path, *, workers: int = 1,
-                 env: Optional[dict[str, str]] = None) -> None:
+                 env: Optional[dict[str, str]] = None, entry: str = _ENTRY) -> None:
         self.proc = subprocess.Popen(
             _cli("serve", "--port", "0", "--workers", str(workers),
-                 "--data-dir", str(data_dir)),
+                 "--data-dir", str(data_dir), entry=entry),
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
             env=env or _env(), cwd=ROOT,
         )
@@ -88,8 +94,8 @@ class Daemon:
         self.proc.wait(timeout=10)
         assert self.proc.returncode == -signal.SIGKILL
 
-    def interrupt(self) -> int:
-        self.proc.send_signal(signal.SIGINT)
+    def interrupt(self, signum: int = signal.SIGINT) -> int:
+        self.proc.send_signal(signum)
         return self.proc.wait(timeout=10)
 
     def close(self) -> None:
@@ -171,6 +177,20 @@ def test_sigint_is_a_clean_shutdown(tmp_path: Path) -> None:
     try:
         time.sleep(0.2)  # let the child settle into its serve loop
         assert daemon.interrupt() == 0
+    finally:
+        daemon.close()
+
+
+@pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM],
+                         ids=["SIGINT", "SIGTERM"])
+def test_a_daemon_started_with_sigint_ignored_still_shuts_down(
+    tmp_path: Path, signum: int
+) -> None:
+    daemon = Daemon(tmp_path / "serve", entry=_ENTRY_SIGINT_IGNORED)
+    try:
+        time.sleep(0.2)  # let the child settle into its serve loop
+        assert daemon.interrupt(signum) == 0
+        assert "shutting down" in daemon.proc.stderr.read()
     finally:
         daemon.close()
 
