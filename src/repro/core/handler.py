@@ -12,14 +12,19 @@ The handler is the first of PASTA's three modules (Figure 1).  It
   batch events, never one event per record — and
 * forwards normalised events to the event processor.
 
-Supporting a new accelerator only requires adding a backend adapter here; the
-processor and tools are untouched (the modularity claim of Section III-A).
+A vendor callback is translated by its *kind* (``memory_alloc``,
+``kernel_launch_end``, ``device_records``, ...), which every backend shares;
+the vendor's callback id is never parsed.  Supporting a new accelerator
+therefore only requires a backend adapter in :mod:`repro.vendors` (a
+:class:`~repro.vendors.base.ProfilingBackend` subclass declaring its
+callback ids); the handler, the processor and the tools are untouched (the
+modularity claim of Section III-A).
 """
 
 from __future__ import annotations
 
 import weakref
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 from repro.errors import HandlerError
 from repro.core.events import (
@@ -46,8 +51,6 @@ from repro.dlframework.allocator import MemoryUsageRecord
 from repro.dlframework.callbacks import FrameworkCallbackRegistry, OperatorEvent
 from repro.gpusim.instruction import InstructionBatchRecord
 from repro.gpusim.kernel import KernelLaunch
-from repro.gpusim.memory import MemoryObject
-from repro.gpusim.runtime import MemcpyRecord, MemsetRecord, SyncRecord
 from repro.vendors.base import ProfilingBackend, VendorCallback
 
 #: Signature of the sink that receives normalised events (the event processor).
@@ -160,48 +163,46 @@ class PastaEventHandler:
     # vendor callback translation
     # ------------------------------------------------------------------ #
     def _on_vendor_callback(self, callback: VendorCallback) -> None:
-        payload = callback.payload
+        kind = callback.kind
+        payload: Any = callback.payload
         device = callback.device_index
         source = callback.backend
-        if isinstance(payload, KernelLaunch):
-            if callback.cbid.endswith(("LAUNCH_BEGIN", "entry", "enter")):
-                # Launch-begin callbacks carry no completed-duration metadata;
-                # PASTA uses the end callback as the canonical launch event.
-                return
+        if kind == "runtime_api":
+            self.emit(RuntimeApiEvent(api_name=payload, device_index=device, source=source))
+        elif kind == "kernel_launch_end":
+            # Launch-begin callbacks carry no completed-duration metadata;
+            # PASTA uses the end callback as the canonical launch event.
             self.emit(self._normalize_kernel_launch(payload, device, source))
-        elif isinstance(payload, MemoryObject):
-            if "FREE" in callback.cbid.upper() or "hipFree" in callback.cbid:
-                self.emit(MemoryFreeEvent(
-                    address=payload.address, size=payload.size, object_id=payload.object_id,
-                    device_index=device, source=source,
-                    timestamp_ns=payload.free_time_ns or 0,
-                ))
-            else:
-                self.emit(MemoryAllocEvent(
-                    address=payload.address, size=payload.size, object_id=payload.object_id,
-                    memory_kind=payload.kind.value, tag=payload.tag,
-                    device_index=device, source=source, timestamp_ns=payload.alloc_time_ns,
-                ))
-        elif isinstance(payload, MemcpyRecord):
+        elif kind == "device_records":
+            self._emit_instruction_batch(payload, device, source)
+        elif kind == "memory_alloc":
+            self.emit(MemoryAllocEvent(
+                address=payload.address, size=payload.size, object_id=payload.object_id,
+                memory_kind=payload.kind.value, tag=payload.tag,
+                device_index=device, source=source, timestamp_ns=payload.alloc_time_ns,
+            ))
+        elif kind == "memory_free":
+            self.emit(MemoryFreeEvent(
+                address=payload.address, size=payload.size, object_id=payload.object_id,
+                device_index=device, source=source,
+                timestamp_ns=payload.free_time_ns or 0,
+            ))
+        elif kind == "memcpy":
             self.emit(MemcpyEvent(
                 size=payload.size, direction=payload.kind.value,
                 duration_ns=payload.duration_ns, stream_id=payload.stream_id,
                 device_index=device, source=source, timestamp_ns=payload.start_time_ns,
             ))
-        elif isinstance(payload, MemsetRecord):
+        elif kind == "memset":
             self.emit(MemsetEvent(
                 address=payload.address, size=payload.size, value=payload.value,
                 device_index=device, source=source, timestamp_ns=payload.start_time_ns,
             ))
-        elif isinstance(payload, SyncRecord):
+        elif kind == "synchronize":
             self.emit(SynchronizationEvent(
                 scope=payload.scope, stream_id=payload.stream_id,
                 device_index=device, source=source, timestamp_ns=payload.time_ns,
             ))
-        elif isinstance(payload, InstructionBatchRecord):
-            self._emit_instruction_batch(payload, device, source)
-        elif isinstance(payload, str):
-            self.emit(RuntimeApiEvent(api_name=payload, device_index=device, source=source))
 
     def _normalize_kernel_launch(
         self, launch: KernelLaunch, device: int, source: str

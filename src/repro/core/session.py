@@ -39,11 +39,7 @@ from repro.gpusim.trace import AnalysisModel
 from repro.core.registry import REGISTRY
 from repro.obs.metrics import SIZE_BUCKETS
 from repro.obs.telemetry import active as _active_telemetry
-from repro.vendors import (
-    ComputeSanitizerBackend,
-    ProfilingBackend,
-    default_backend_for_vendor,
-)
+from repro.vendors import ProfilingBackend, default_backend_for_vendor
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (replay imports core)
     from repro.core.overhead import OverheadAccountant as _OverheadAccountant
@@ -247,10 +243,7 @@ class PastaSession:
             self.backend.attach(self.runtime)
         self.handler.attach_vendor_backend(self.backend)
         if self.enable_fine_grained:
-            if isinstance(self.backend, ComputeSanitizerBackend):
-                self.backend.sanitizer_patch_module("all")
-            else:
-                self.backend.enable_instruction_tracing(True)
+            self.backend.enable_instruction_tracing(True)
         self.runtime.device.reserve_profiler_memory(PROFILER_RESERVED_BYTES)
         for tool in self._tools:
             tool.on_session_start()

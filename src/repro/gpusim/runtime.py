@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Protocol, Sequence
+from typing import Optional, Sequence
 
 from repro.errors import DeviceError
 from repro.gpusim.device import DeviceSpec, GpuDevice, Vendor
@@ -73,32 +73,11 @@ class SyncRecord:
     time_ns: int = 0
 
 
-class RuntimeSubscriber(Protocol):
-    """Callback interface implemented by profiling backends.
-
-    All methods are optional in practice — :class:`RuntimeCallbacks` provides
-    no-op defaults — but the protocol documents the full surface.
-    """
-
-    def on_memory_alloc(self, runtime: "AcceleratorRuntime", obj: MemoryObject) -> None: ...
-
-    def on_memory_free(self, runtime: "AcceleratorRuntime", obj: MemoryObject) -> None: ...
-
-    def on_memcpy(self, runtime: "AcceleratorRuntime", record: MemcpyRecord) -> None: ...
-
-    def on_memset(self, runtime: "AcceleratorRuntime", record: MemsetRecord) -> None: ...
-
-    def on_kernel_launch_begin(self, runtime: "AcceleratorRuntime", launch: KernelLaunch) -> None: ...
-
-    def on_kernel_launch_end(self, runtime: "AcceleratorRuntime", launch: KernelLaunch) -> None: ...
-
-    def on_synchronize(self, runtime: "AcceleratorRuntime", record: SyncRecord) -> None: ...
-
-    def on_runtime_api(self, runtime: "AcceleratorRuntime", api_name: str) -> None: ...
-
-
 class RuntimeCallbacks:
-    """No-op base implementation of :class:`RuntimeSubscriber`."""
+    """The callbacks a runtime delivers to its subscribers, as no-ops.
+
+    Profiling backends subclass this and override what they observe.
+    """
 
     def on_memory_alloc(self, runtime: "AcceleratorRuntime", obj: MemoryObject) -> None:
         pass
@@ -155,7 +134,7 @@ class AcceleratorRuntime:
         self.uvm: Optional[UvmManager] = None
         if enable_uvm:
             self.uvm = UvmManager(self.device, device_capacity_bytes=uvm_capacity_bytes)
-        self._subscribers: list[RuntimeSubscriber] = []
+        self._subscribers: list[RuntimeCallbacks] = []
         self.kernel_launches: list[KernelLaunch] = []
         self.memcpy_records: list[MemcpyRecord] = []
         self.api_call_counts: dict[str, int] = {}
@@ -168,12 +147,12 @@ class AcceleratorRuntime:
         """Vendor of the underlying device."""
         return self.device.vendor
 
-    def subscribe(self, subscriber: RuntimeSubscriber) -> None:
+    def subscribe(self, subscriber: RuntimeCallbacks) -> None:
         """Register a profiling backend to receive runtime callbacks."""
         if subscriber not in self._subscribers:
             self._subscribers.append(subscriber)
 
-    def unsubscribe(self, subscriber: RuntimeSubscriber) -> None:
+    def unsubscribe(self, subscriber: RuntimeCallbacks) -> None:
         """Remove a previously registered subscriber."""
         if subscriber in self._subscribers:
             self._subscribers.remove(subscriber)

@@ -34,6 +34,7 @@ import gzip
 import hashlib
 import itertools
 import json
+import math
 import zlib
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Union
@@ -269,14 +270,23 @@ class TraceReader:
         # and region slicing need to observe events that are not themselves
         # yielded (region boundaries, launches defining the window).
         skip_filter = wanted if (not kernel_window and region is None) else None
-        launches_in_window: Optional[frozenset[int]] = None
-        if kernel_window:
-            # Backends emit a kernel's fine-grained events *before* its
-            # canonical launch-end event, so the window's launch-id set must
-            # be collected in a pre-pass over the kernel-launch chunks.
-            launches_in_window = self._launches_in_window(start_grid_id, end_grid_id)
+        # The live processor's rule for a grid window, in one pass: an event
+        # of a launch already seen follows that launch's decision at once;
+        # one whose launch is still to come (backends emit a kernel's device
+        # records just before its launch-end event) waits for it, and
+        # whatever still waits at the end is dropped.
+        low = -math.inf if start_grid_id is None else start_grid_id
+        high = math.inf if end_grid_id is None else end_grid_id
+        in_window: dict[int, bool] = {}
+        waiting: dict[int, list[PastaEvent]] = {}
         region_depth = 0
         for event in itertools.chain.from_iterable(self._chunks(skip_filter)):
+            if kernel_window and isinstance(event, KernelLaunchEvent):
+                keep = in_window[event.launch_id] = low <= event.grid_index <= high
+                held = waiting.pop(event.launch_id, ())
+                if not keep:
+                    continue
+                yield from held
             if device_index is not None and event.device_index != device_index:
                 continue
             if region is not None:
@@ -289,40 +299,19 @@ class TraceReader:
                         region_depth -= 1
                 elif region_depth <= 0:
                     continue
-            if launches_in_window is not None:
-                if isinstance(event, KernelLaunchEvent):
-                    if event.launch_id not in launches_in_window:
-                        continue
-                else:
-                    launch_id = getattr(event, "kernel_launch_id", None)
-                    if launch_id is None and isinstance(event, KernelMemoryProfile):
-                        launch_id = event.launch_id
-                    if launch_id is not None and launch_id not in launches_in_window:
-                        continue
             if wanted is not None and event.category.value not in wanted:
                 continue
+            if kernel_window and not isinstance(event, KernelLaunchEvent):
+                launch_id = getattr(event, "kernel_launch_id", None)
+                if launch_id is None and isinstance(event, KernelMemoryProfile):
+                    launch_id = event.launch_id
+                if launch_id is not None:
+                    keep_launch = in_window.get(launch_id)
+                    if keep_launch is None:
+                        waiting.setdefault(launch_id, []).append(event)
+                    if not keep_launch:
+                        continue
             yield event
-
-    def _launches_in_window(
-        self, start_grid_id: Optional[int], end_grid_id: Optional[int]
-    ) -> frozenset[int]:
-        """Launch ids of the kernel launches inside a grid-index window.
-
-        With an index, the pre-pass decodes only the chunks that hold
-        kernel launches.
-        """
-        kernel_chunks = frozenset({EventCategory.KERNEL_LAUNCH.value})
-        launches = set()
-        for chunk in self._chunks(kernel_chunks):
-            for event in chunk:
-                if not isinstance(event, KernelLaunchEvent):
-                    continue
-                if start_grid_id is not None and event.grid_index < start_grid_id:
-                    continue
-                if end_grid_id is not None and event.grid_index > end_grid_id:
-                    continue
-                launches.add(event.launch_id)
-        return frozenset(launches)
 
     def __iter__(self) -> Iterator[PastaEvent]:
         return self.events()

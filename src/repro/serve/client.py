@@ -414,11 +414,12 @@ class JobHandle:
             raise ServeError(f"job {self.id} was cancelled")
         if result_record is None:
             raise ServeError(f"job {self.id} finished without a result record")
-        status = self.status()
-        if status.get("kind") == "campaign":
-            self._result = RemoteCampaignResult(self, result_record, status)
+        # The terminal job record carries the kind, digest and cache_hit.
+        self._last_status = final
+        if final.get("kind") == "campaign":
+            self._result = RemoteCampaignResult(self, result_record, final)
         else:
-            self._result = RemoteRunResult(self, result_record, status)
+            self._result = RemoteRunResult(self, result_record, final)
         return self._result
 
 

@@ -3,10 +3,13 @@
 These stand in for the low-level vendor profiling libraries PASTA builds on:
 NVIDIA Compute Sanitizer APIs, NVIDIA NVBit, and AMD ROCProfiler-SDK.  Each
 backend subscribes to a simulated runtime and re-emits runtime activity as
-vendor-style callbacks that PASTA's event handler consumes.
+vendor-style callbacks that PASTA's event handler consumes.  No module outside
+this package names a backend class or reads a vendor callback id: the handler
+reads each callback's kind (:data:`CALLBACK_KINDS`), so a plugin backend (a
+``pasta.vendors`` entry point) needs nothing but its own module.
 """
 
-from repro.vendors.base import ProfilingBackend, VendorCallback, VendorCallbackFn
+from repro.vendors.base import CALLBACK_KINDS, ProfilingBackend, VendorCallback, VendorCallbackFn
 from repro.vendors.compute_sanitizer import SANITIZER_INSTRUMENTABLE, ComputeSanitizerBackend
 from repro.vendors.nvbit import NvbitBackend
 from repro.vendors.rocprofiler import ROCPROFILER_INSTRUMENTABLE, RocprofilerBackend
@@ -50,6 +53,7 @@ def default_backend_for_vendor(vendor: Vendor) -> ProfilingBackend:
 __all__ = [
     "BACKEND_ALIASES",
     "BUILTIN_BACKENDS",
+    "CALLBACK_KINDS",
     "ComputeSanitizerBackend",
     "NvbitBackend",
     "ProfilingBackend",

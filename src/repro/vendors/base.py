@@ -4,8 +4,10 @@ PASTA's event handler never talks to the runtime directly; it registers with a
 *profiling backend* the way a real tool registers with Compute Sanitizer,
 NVBit, or the ROCProfiler SDK.  Each simulated backend subscribes to an
 :class:`~repro.gpusim.runtime.AcceleratorRuntime` and re-emits its activity as
-vendor-flavoured callbacks: a callback-id string (mirroring the vendor's enum
-names) plus a payload object.
+vendor-flavoured callbacks.  A callback's *kind* (:data:`CALLBACK_KINDS`) is
+the one thing the handler reads; its vendor callback id (mirroring the
+vendor's enum names) is free-form, declared once per kind in the backend's
+:attr:`ProfilingBackend.callback_ids` table.
 
 The backends differ in exactly the ways the paper describes (Section III-D):
 
@@ -18,12 +20,12 @@ The backends differ in exactly the ways the paper describes (Section III-D):
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Mapping, NamedTuple, Optional
 
 from repro.errors import VendorError
 from repro.gpusim.costmodel import InstrumentationBackend
 from repro.gpusim.device import Vendor
-from repro.gpusim.instruction import InstructionBatchRecord, InstructionKind
+from repro.gpusim.instruction import InstructionKind
 from repro.gpusim.kernel import KernelLaunch
 from repro.gpusim.memory import MemoryObject
 from repro.gpusim.runtime import (
@@ -32,6 +34,14 @@ from repro.gpusim.runtime import (
     MemsetRecord,
     RuntimeCallbacks,
     SyncRecord,
+)
+
+#: Every callback kind, and so every key of :attr:`ProfilingBackend.callback_ids`:
+#: the :class:`~repro.gpusim.runtime.RuntimeCallbacks` method names without
+#: ``on_``, plus ``device_records`` for a launch's sampled device records.
+CALLBACK_KINDS = (
+    "memory_alloc", "memory_free", "memcpy", "memset", "kernel_launch_begin",
+    "kernel_launch_end", "synchronize", "runtime_api", "device_records",
 )
 
 
@@ -43,18 +53,21 @@ class VendorCallback(NamedTuple):
 
     Attributes
     ----------
+    kind:
+        What happened, one of :data:`CALLBACK_KINDS` (the same on every backend).
     cbid:
         The vendor's callback identifier (e.g. ``"SANITIZER_CBID_LAUNCH_BEGIN"``
         or ``"ROCPROFILER_HIP_API_ID_hipMalloc"``).
     payload:
-        The vendor-specific payload object (a kernel launch, memory object,
-        memcpy record, instruction batch, ...).
+        The kind's payload object (a memory object, memcpy record, kernel
+        launch, API name, instruction batch, ...).
     device_index:
         Device the callback originated from.
     backend:
         Name of the backend that produced the callback.
     """
 
+    kind: str
     cbid: str
     payload: object
     device_index: int
@@ -66,13 +79,14 @@ VendorCallbackFn = Callable[[VendorCallback], None]
 
 
 class ProfilingBackend(RuntimeCallbacks):
-    """Base class for the three simulated vendor profiling libraries.
+    """Base class of every vendor profiling backend, built-in or plugin.
 
-    Subclasses set :attr:`name`, :attr:`supported_vendor` and
-    :attr:`instrumentation` and override the ``_cbid_*`` hooks to produce
-    vendor-specific callback-id strings.  Attaching to a runtime of the wrong
-    vendor raises :class:`~repro.errors.VendorError`, mirroring the fact that
-    Compute Sanitizer cannot profile an AMD GPU.
+    A subclass sets :attr:`name`, :attr:`supported_vendor`,
+    :attr:`instrumentation`, :attr:`instrumentable_kinds` and
+    :attr:`callback_ids`; the base class turns each runtime event into one
+    :class:`VendorCallback` tagged with its kind.  Attaching to a runtime of
+    the wrong vendor raises :class:`~repro.errors.VendorError`, mirroring the
+    fact that Compute Sanitizer cannot profile an AMD GPU.
     """
 
     name: str = "base"
@@ -82,6 +96,9 @@ class ProfilingBackend(RuntimeCallbacks):
     instrumentable_kinds: frozenset[InstructionKind] = frozenset(InstructionKind)
     #: Maximum sampled device-side records forwarded per kernel launch.
     max_instruction_records_per_kernel: int = 2048
+    #: The vendor's callback id for each of :data:`CALLBACK_KINDS`.  The
+    #: ``runtime_api`` entry is a prefix the API name is appended to.
+    callback_ids: Mapping[str, str] = {}
 
     def __init__(self) -> None:
         self._callbacks: tuple[VendorCallbackFn, ...] = ()
@@ -101,6 +118,9 @@ class ProfilingBackend(RuntimeCallbacks):
             )
         if self._runtime is not None:
             raise VendorError(f"{self.name} is already attached to a runtime")
+        missing = [kind for kind in CALLBACK_KINDS if kind not in self.callback_ids]
+        if missing:
+            raise VendorError(f"{self.name} declares no callback id for {missing}")
         self._runtime = runtime
         runtime.subscribe(self)
 
@@ -137,8 +157,8 @@ class ProfilingBackend(RuntimeCallbacks):
     # ------------------------------------------------------------------ #
     # emission helpers
     # ------------------------------------------------------------------ #
-    def _emit(self, cbid: str, payload: object, device_index: int) -> None:
-        callback = VendorCallback(cbid, payload, device_index, self.name)
+    def _emit(self, kind: str, payload: object, device_index: int, cbid: str = "") -> None:
+        callback = VendorCallback(kind, cbid or self.callback_ids[kind], payload, device_index, self.name)
         self.callback_count += 1
         # The callback tuple is immutable: registration replaces it, so
         # iterating is safe even if a receiver mutates the registration set.
@@ -160,64 +180,35 @@ class ProfilingBackend(RuntimeCallbacks):
             allowed_kinds=self._device_record_kinds(),
         )
         if len(batch):
-            self._emit(self._cbid_instruction_batch(batch), batch, launch.device_index)
-
-    # ------------------------------------------------------------------ #
-    # vendor-specific callback ids (overridden by subclasses)
-    # ------------------------------------------------------------------ #
-    def _cbid_memory_alloc(self, obj: MemoryObject) -> str:
-        raise NotImplementedError
-
-    def _cbid_memory_free(self, obj: MemoryObject) -> str:
-        raise NotImplementedError
-
-    def _cbid_memcpy(self, record: MemcpyRecord) -> str:
-        raise NotImplementedError
-
-    def _cbid_memset(self, record: MemsetRecord) -> str:
-        raise NotImplementedError
-
-    def _cbid_launch_begin(self, launch: KernelLaunch) -> str:
-        raise NotImplementedError
-
-    def _cbid_launch_end(self, launch: KernelLaunch) -> str:
-        raise NotImplementedError
-
-    def _cbid_synchronize(self, record: SyncRecord) -> str:
-        raise NotImplementedError
-
-    def _cbid_instruction_batch(self, batch: InstructionBatchRecord) -> str:
-        return f"{self.name.upper()}_DEVICE_RECORD_BATCH"
+            self._emit("device_records", batch, launch.device_index)
 
     # ------------------------------------------------------------------ #
     # RuntimeCallbacks implementation
     # ------------------------------------------------------------------ #
     def on_memory_alloc(self, runtime: AcceleratorRuntime, obj: MemoryObject) -> None:
-        self._emit(self._cbid_memory_alloc(obj), obj, runtime.device.index)
+        self._emit("memory_alloc", obj, runtime.device.index)
 
     def on_memory_free(self, runtime: AcceleratorRuntime, obj: MemoryObject) -> None:
-        self._emit(self._cbid_memory_free(obj), obj, runtime.device.index)
+        self._emit("memory_free", obj, runtime.device.index)
 
     def on_memcpy(self, runtime: AcceleratorRuntime, record: MemcpyRecord) -> None:
-        self._emit(self._cbid_memcpy(record), record, runtime.device.index)
+        self._emit("memcpy", record, runtime.device.index)
 
     def on_memset(self, runtime: AcceleratorRuntime, record: MemsetRecord) -> None:
-        self._emit(self._cbid_memset(record), record, runtime.device.index)
+        self._emit("memset", record, runtime.device.index)
 
     def on_kernel_launch_begin(self, runtime: AcceleratorRuntime, launch: KernelLaunch) -> None:
-        self._emit(self._cbid_launch_begin(launch), launch, runtime.device.index)
+        self._emit("kernel_launch_begin", launch, runtime.device.index)
 
     def on_kernel_launch_end(self, runtime: AcceleratorRuntime, launch: KernelLaunch) -> None:
         self._emit_instructions(launch)
-        self._emit(self._cbid_launch_end(launch), launch, runtime.device.index)
+        self._emit("kernel_launch_end", launch, runtime.device.index)
 
     def on_synchronize(self, runtime: AcceleratorRuntime, record: SyncRecord) -> None:
-        self._emit(self._cbid_synchronize(record), record, runtime.device.index)
+        self._emit("synchronize", record, runtime.device.index)
 
     def on_runtime_api(self, runtime: AcceleratorRuntime, api_name: str) -> None:
         # Driver/runtime API interception ("All Driver Functions" / "All
         # Runtime Functions" rows of Table II).
-        self._emit(self._cbid_runtime_api(api_name), api_name, runtime.device.index)
-
-    def _cbid_runtime_api(self, api_name: str) -> str:
-        return f"{self.name.upper()}_API_{api_name}"
+        self._emit("runtime_api", api_name, runtime.device.index,
+                   self.callback_ids["runtime_api"] + api_name)

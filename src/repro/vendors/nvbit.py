@@ -18,8 +18,7 @@ from repro.gpusim.costmodel import InstrumentationBackend
 from repro.gpusim.device import Vendor
 from repro.gpusim.instruction import InstructionKind
 from repro.gpusim.kernel import KernelLaunch
-from repro.gpusim.memory import MemoryObject
-from repro.gpusim.runtime import AcceleratorRuntime, MemcpyRecord, MemsetRecord, SyncRecord
+from repro.gpusim.runtime import AcceleratorRuntime
 from repro.vendors.base import ProfilingBackend
 
 
@@ -30,6 +29,17 @@ class NvbitBackend(ProfilingBackend):
     supported_vendor = Vendor.NVIDIA
     instrumentation = InstrumentationBackend.NVBIT
     instrumentable_kinds = frozenset(InstructionKind)
+    callback_ids = {
+        "memory_alloc": "NVBIT_CUDA_EVENT_cuMemAlloc",
+        "memory_free": "NVBIT_CUDA_EVENT_cuMemFree",
+        "memcpy": "NVBIT_CUDA_EVENT_cuMemcpy",
+        "memset": "NVBIT_CUDA_EVENT_cuMemset",
+        "kernel_launch_begin": "NVBIT_CUDA_EVENT_cuLaunchKernel_entry",
+        "kernel_launch_end": "NVBIT_CUDA_EVENT_cuLaunchKernel_exit",
+        "synchronize": "NVBIT_CUDA_EVENT_cuCtxSynchronize",
+        "runtime_api": "NVBIT_API_",
+        "device_records": "NVBIT_INSTR_BATCH",
+    }
 
     def __init__(self) -> None:
         super().__init__()
@@ -64,30 +74,3 @@ class NvbitBackend(ProfilingBackend):
         if self._instruction_filter is None:
             return self.instrumentable_kinds
         return self.instrumentable_kinds & self._instruction_filter
-
-    # ------------------------------------------------------------------ #
-    # callback ids
-    # ------------------------------------------------------------------ #
-    def _cbid_memory_alloc(self, obj: MemoryObject) -> str:
-        return "NVBIT_CUDA_EVENT_cuMemAlloc"
-
-    def _cbid_memory_free(self, obj: MemoryObject) -> str:
-        return "NVBIT_CUDA_EVENT_cuMemFree"
-
-    def _cbid_memcpy(self, record: MemcpyRecord) -> str:
-        return "NVBIT_CUDA_EVENT_cuMemcpy"
-
-    def _cbid_memset(self, record: MemsetRecord) -> str:
-        return "NVBIT_CUDA_EVENT_cuMemset"
-
-    def _cbid_launch_begin(self, launch: KernelLaunch) -> str:
-        return "NVBIT_CUDA_EVENT_cuLaunchKernel_entry"
-
-    def _cbid_launch_end(self, launch: KernelLaunch) -> str:
-        return "NVBIT_CUDA_EVENT_cuLaunchKernel_exit"
-
-    def _cbid_synchronize(self, record: SyncRecord) -> str:
-        return "NVBIT_CUDA_EVENT_cuCtxSynchronize"
-
-    def _cbid_instruction_batch(self, batch) -> str:
-        return "NVBIT_INSTR_BATCH"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -28,11 +30,16 @@ from repro.core.events import (
 )
 from repro.core.handler import PastaEventHandler
 from repro.dlframework import ops
-from repro.gpusim.device import A100, MiB
+from repro.gpusim.device import A100, MI300X, MiB
 from repro.gpusim.instruction import InstructionKind
 from repro.gpusim.kernel import GridConfig, KernelArgument
 from repro.gpusim.runtime import MemcpyKind, create_runtime
-from repro.vendors import ComputeSanitizerBackend, RocprofilerBackend
+from repro.vendors import (
+    BUILTIN_BACKENDS,
+    ComputeSanitizerBackend,
+    ProfilingBackend,
+    RocprofilerBackend,
+)
 
 
 def make_handler_with_sink():
@@ -208,6 +215,78 @@ class TestVendorTranslation:
         handler.detach_vendor_backend(backend)
         runtime.malloc(4096)
         assert len(events) == count
+
+
+class PluginBackend(ProfilingBackend):
+    """A third-party backend whose ids share no substring with the built-ins."""
+
+    name = "plugin"
+    callback_ids = {
+        "memory_alloc": "PLUGIN_MEM_RESERVE",
+        "memory_free": "PLUGIN_MEM_RELEASE",
+        "memcpy": "PLUGIN_COPY",
+        "memset": "PLUGIN_FILL",
+        "kernel_launch_begin": "PLUGIN_KERNEL_START",
+        "kernel_launch_end": "PLUGIN_KERNEL_DONE",
+        "synchronize": "PLUGIN_WAIT",
+        "runtime_api": "PLUGIN_CALL_",
+        "device_records": "PLUGIN_SAMPLES",
+    }
+
+
+def drive_one_of_each(backend, device_spec):
+    """One malloc, memcpy, memset, fine-grained launch, synchronize and free,
+    through ``backend`` and a handler; returns the normalised events."""
+    runtime = create_runtime(device_spec)
+    backend.attach(runtime)
+    backend.enable_instruction_tracing(True)
+    handler, events = make_handler_with_sink()
+    handler.attach_vendor_backend(backend)
+    obj = runtime.malloc(1 * MiB)
+    runtime.memcpy(4096, MemcpyKind.HOST_TO_DEVICE)
+    runtime.memset(obj.address, 4096)
+    runtime.launch_kernel(
+        "k", GridConfig.for_elements(256),
+        arguments=[KernelArgument(address=obj.address, size=obj.size, accesses_per_byte=0.01)],
+    )
+    runtime.synchronize()
+    runtime.free(obj)
+    return events
+
+
+def coarse_categories(events):
+    return [e.category for e in events if e.category in COARSE_CATEGORIES]
+
+
+class TestEveryBackendNormalisesAlike:
+    DEVICES = {"compute_sanitizer": A100, "nvbit": A100, "rocprofiler": MI300X}
+
+    def test_builtin_backends_give_the_same_event_stream(self):
+        assert set(self.DEVICES) == set(BUILTIN_BACKENDS)
+        streams = {}
+        for name, device in self.DEVICES.items():
+            events = drive_one_of_each(BUILTIN_BACKENDS[name](), device)
+            assert {e.source for e in events} == {name}
+            assert sum(isinstance(e, KernelLaunchEvent) for e in events) == 1
+            assert any(isinstance(e, MemoryAccessBatch) for e in events)
+            streams[name] = coarse_categories(events)
+        assert streams["compute_sanitizer"] == streams["nvbit"] == streams["rocprofiler"]
+        assert Counter(streams["nvbit"]) == {
+            EventCategory.RUNTIME_API: 6, EventCategory.MEMORY_ALLOC: 1,
+            EventCategory.MEMCPY: 1, EventCategory.MEMSET: 1,
+            EventCategory.KERNEL_LAUNCH: 1, EventCategory.SYNCHRONIZATION: 1,
+            EventCategory.MEMORY_FREE: 1,
+        }
+
+    def test_a_plugin_backend_with_its_own_ids_normalises_like_the_builtins(self):
+        events = drive_one_of_each(PluginBackend(), A100)
+        counts = Counter(type(e) for e in events)
+        assert counts[MemoryAllocEvent] == 1
+        assert counts[KernelLaunchEvent] == 1
+        assert counts[MemoryFreeEvent] == 1
+        assert {e.source for e in events} == {"plugin"}
+        builtin = drive_one_of_each(ComputeSanitizerBackend(), A100)
+        assert coarse_categories(events) == coarse_categories(builtin)
 
 
 class TestFrameworkTranslation:

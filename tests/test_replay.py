@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 import repro
 import repro.api.runner as api_runner
+import repro.replay.reader as reader_module
 from repro import api
 from repro.api import ParallelismSpec, ProfileSpec
 from repro.campaign import (
@@ -423,6 +424,31 @@ class TestContainer:
         counts = TraceReader(out).footer.category_counts
         assert counts.get("kernel_launch") == 4
         assert fine_grained_event_count(counts) > 0
+
+    def test_grid_window_read_decodes_each_chunk_once(self, tmp_path, monkeypatch):
+        recorded = tmp_path / "fine.pastatrace"
+        api.run("alexnet", device="a100", tools=(), fine_grained=True,
+                batch_size=2, record_to=recorded)
+        trace = tmp_path / "chunked.pastatrace"
+        TraceReader(recorded).slice_to(trace, chunk_events=16)
+        reader = TraceReader(trace)
+        every = list(reader.events())
+        window = {e.launch_id for e in every
+                  if isinstance(e, KernelLaunchEvent) and 1 <= e.grid_index <= 3}
+        expected = [e for e in every
+                    if (e.launch_id in window if isinstance(e, KernelLaunchEvent)
+                        else getattr(e, "kernel_launch_id", None) in (None, *window))]
+        decodes = []
+
+        def counting_decode(*args):
+            decodes.append(args)
+            return decode_chunk(*args)
+
+        monkeypatch.setattr(reader_module, "decode_chunk", counting_decode)
+        got = list(reader.events(start_grid_id=1, end_grid_id=3))
+        assert reader.chunk_count > 1
+        assert len(decodes) == reader.chunk_count
+        assert event_lists_equal(got, expected)
 
     def test_region_slicing(self, tmp_path):
         path = tmp_path / "t.pastatrace"

@@ -31,7 +31,7 @@ from repro import pasta
 from repro.campaign.faults import FaultInjector, FaultPlan, FaultRule, faults_scope
 from repro.core.serialization import json_sanitize, stable_json_dumps
 from repro.errors import ReproError
-from repro.serve import JobManager, PastaDaemon, QuotaExceeded, ServeError, connect
+from repro.serve import JobManager, PastaDaemon, QuotaExceeded, ServeClient, ServeError, connect
 from repro.serve.jobs import classify_submission
 
 #: The tiny spec most tests submit.
@@ -120,6 +120,26 @@ class TestLifecycle:
         assert daemon.manager.executed == 1
         assert daemon.manager.cache_hits == 1
         assert stable_json_dumps(second.record) == stable_json_dumps(first.record)
+
+    def test_warm_result_reads_the_terminal_record_without_a_status_request(
+        self, daemon: PastaDaemon, monkeypatch: pytest.MonkeyPatch
+    ) -> None:
+        client = connect(daemon.url)
+        cold = client.submit(SPEC).result(timeout=120)
+        status_calls = []
+        real_status = ServeClient.status
+
+        def counting_status(self, job_id):
+            status_calls.append(job_id)
+            return real_status(self, job_id)
+
+        monkeypatch.setattr(ServeClient, "status", counting_status)
+        handle = client.submit(SPEC)
+        warm = handle.result(timeout=120)
+        assert status_calls == []
+        assert warm.cache_hit is True and warm.digest == cold.digest == warm.record["digest"]
+        assert handle.state == "done"
+        assert status_calls == []
 
     def test_campaign_job_streams_progress(self, daemon: PastaDaemon) -> None:
         client = connect(daemon.url)

@@ -10,8 +10,10 @@ from repro.gpusim.instruction import InstructionBatchRecord, InstructionKind
 from repro.gpusim.kernel import GridConfig, KernelArgument
 from repro.gpusim.runtime import MemcpyKind, create_runtime
 from repro.vendors import (
+    CALLBACK_KINDS,
     ComputeSanitizerBackend,
     NvbitBackend,
+    ProfilingBackend,
     RocprofilerBackend,
     default_backend_for_vendor,
 )
@@ -65,6 +67,16 @@ class TestAttachment:
         runtime.malloc(4096)
         assert len(received) == count
 
+    def test_a_backend_missing_a_callback_id_is_refused_at_attach(self):
+        class Partial(ProfilingBackend):
+            name = "partial"
+            callback_ids = {"memory_alloc": "PARTIAL_ALLOC"}
+
+        backend = Partial()
+        with pytest.raises(VendorError, match="memory_free"):
+            backend.attach(create_runtime(A100))
+        assert not backend.is_attached
+
 
 class TestComputeSanitizer:
     def test_callback_ids_follow_sanitizer_naming(self):
@@ -94,12 +106,6 @@ class TestComputeSanitizer:
         assert batch.access_count > 0
         # Sanitizer never reports arbitrary (OTHER) instruction kinds.
         assert InstructionKind.OTHER not in backend.instrumentable_kinds
-
-    def test_enable_domain_bookkeeping(self):
-        backend = ComputeSanitizerBackend()
-        backend.sanitizer_enable_domain("launch")
-        backend.sanitizer_enable_domain("memcpy")
-        assert backend.enabled_domains == frozenset({"launch", "memcpy"})
 
 
 class TestNvbit:
@@ -158,11 +164,11 @@ class TestRocprofiler:
         assert "ROCPROFILER_HIP_API_ID_hipLaunchKernel_exit" in cbids
         assert "ROCPROFILER_HIP_API_ID_hipFree" in cbids
 
-    def test_configure_services(self):
-        backend = RocprofilerBackend()
-        backend.rocprofiler_configure_callback("hip_runtime_api")
-        backend.rocprofiler_configure_callback("kernel_dispatch")
-        assert backend.configured_services == frozenset({"hip_runtime_api", "kernel_dispatch"})
+    def test_callbacks_carry_the_same_kinds_on_every_vendor(self):
+        nvidia = collect_callbacks(ComputeSanitizerBackend(), create_runtime(A100), fine_grained=True)
+        amd = collect_callbacks(RocprofilerBackend(), create_runtime(MI300X), fine_grained=True)
+        assert [cb.kind for cb in nvidia] == [cb.kind for cb in amd]
+        assert set(cb.kind for cb in nvidia) == set(CALLBACK_KINDS) - {"memset"}
 
     def test_cross_vendor_consistency_of_event_payloads(self):
         """The same workload produces the same *payload types* on both vendors."""
