@@ -443,9 +443,13 @@ class ProfileSpec:
 
         The campaign result cache's key: two specs share a digest iff their
         :meth:`canonical` serializations are identical *and* they were
-        produced by the same package version.
+        produced by the same package version.  Computed once per version:
+        the spec is frozen, and :meth:`replace` builds a new one.
         """
-        return content_digest(self.canonical(), version)
+        digests = self.__dict__.setdefault("_digests", {})
+        if version not in digests:
+            digests[version] = content_digest(self.canonical(), version)
+        return digests[version]
 
     # ------------------------------------------------------------------ #
     # knob resolution

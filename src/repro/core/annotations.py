@@ -11,7 +11,8 @@ sub-region of an application:
 Both are implemented by :class:`RangeFilter`, which the event processor
 consults before dispatching kernel-level events to tools.  The module-level
 ``start``/``stop`` functions provide the user-facing annotation API; they act
-on the currently active :class:`~repro.core.session.PastaSession`.
+on every started :class:`~repro.core.session.PastaSession` — one per rank of
+a multi-GPU profile.
 """
 
 from __future__ import annotations
@@ -121,18 +122,9 @@ class RangeFilter:
 # --------------------------------------------------------------------------- #
 # the user-facing ``pasta`` annotation API
 # --------------------------------------------------------------------------- #
-_active_session = None
-
-
-def _set_active_session(session) -> None:
-    """Install the session that annotation calls should act on (internal)."""
-    global _active_session
-    _active_session = session
-
-
-def _get_active_session():
-    """Return the active session, or None."""
-    return _active_session
+#: Sessions started and not yet stopped, in start order: each
+#: ``PastaSession`` adds itself in ``start()`` and removes itself in ``stop()``.
+_active_sessions: list = []
 
 
 def start(label: str = "") -> None:
@@ -140,14 +132,15 @@ def start(label: str = "") -> None:
 
     Inside a region, kernel launches and fine-grained events are analysed;
     once any region has been used, launches outside all regions are skipped.
-    A no-op when no PASTA session is active, so annotated application code
-    runs unmodified without the profiler.
+    The region opens on every started session.  A no-op when no PASTA
+    session is active, so annotated application code runs unmodified
+    without the profiler.
     """
-    if _active_session is not None:
-        _active_session.begin_region(label)
+    for session in tuple(_active_sessions):
+        session.begin_region(label)
 
 
 def stop(label: str = "") -> None:
     """End the innermost analysis region (the paper's ``pasta.stop()``)."""
-    if _active_session is not None:
-        _active_session.end_region(label)
+    for session in tuple(_active_sessions):
+        session.end_region(label)

@@ -29,14 +29,15 @@ enters the pipeline as a length-1 batch via ``as_batch()``.
 
 All event classes use ``slots=True`` (compact instances, faster attribute
 access) and ``eq=False`` (identity comparison; events are never compared by
-value on the hot path).  Event ids are allocated lazily on first read so the
-common case — an event that is dispatched and dropped — never touches the
-global counter.
+value on the hot path).  Events carry no id of their own; the ids they hold
+(``launch_id``, ``tensor_id``, ...) are fields, recorded and replayed like
+any other.  A tool receives exactly the categories in its
+:attr:`~repro.core.tool.PastaTool.subscribed_categories`: nothing between
+the handler and the dispatch unit filters by category.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import ClassVar, Iterator, Mapping, Optional
@@ -44,8 +45,6 @@ from typing import ClassVar, Iterator, Mapping, Optional
 import numpy as np
 
 from repro.gpusim.instruction import InstructionKind
-
-_event_ids = itertools.count(1)
 
 
 class EventCategory(str, Enum):
@@ -130,33 +129,8 @@ def _coerce_columns(batch: PastaEvent, dtypes: Mapping[str, type]) -> None:
         setattr(batch, name, np.asarray(getattr(batch, name), dtype))
 
 
-class _LazyEventId:
-    """Mixin giving events a lazily allocated, process-unique ``event_id``.
-
-    The id is drawn from the global counter on first read only, so events
-    that are dispatched and discarded (the overwhelming majority) never pay
-    for it.  The slot lives here — outside the dataclass field list — so it
-    is neither an ``__init__`` parameter nor part of the trace encoding.
-    """
-
-    __slots__ = ("_event_id",)
-
-    @property
-    def event_id(self) -> int:
-        try:
-            return self._event_id
-        except AttributeError:
-            eid = next(_event_ids)
-            self._event_id = eid
-            return eid
-
-    @event_id.setter
-    def event_id(self, value: int) -> None:
-        self._event_id = value
-
-
 @dataclass(slots=True, eq=False)
-class PastaEvent(_LazyEventId):
+class PastaEvent:
     """Base class of all normalised events."""
 
     category: EventCategory = EventCategory.RUNTIME_API

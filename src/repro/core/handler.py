@@ -10,7 +10,11 @@ The handler is the first of PASTA's three modules (Figure 1).  It
   (sign conventions for reclamation sizes, naming, direction metadata) —
   a launch's device records arrive as one columnar vendor batch and leave as
   batch events, never one event per record — and
-* forwards normalised events to the event processor.
+* forwards every normalised event to the event processor.
+
+The handler drops nothing; each tool's ``subscribed_categories`` decide,
+in the processor, what it receives.  A recording taps the handler's output,
+so a trace holds the whole stream whatever tools the live run attached.
 
 A vendor callback is translated by its *kind* (``memory_alloc``,
 ``kernel_launch_end``, ``device_records``, ...), which every backend shares;
@@ -28,8 +32,6 @@ from typing import Any, Callable, Optional
 
 from repro.errors import HandlerError
 from repro.core.events import (
-    BATCH_CATEGORY_BASES,
-    EventCategory,
     InstructionBatch,
     KernelArgumentInfo,
     KernelLaunchEvent,
@@ -72,13 +74,7 @@ class PastaEventHandler:
         #: Per-device running kernel-launch index (the "grid id" of the paper's
         #: START_GRID_ID/END_GRID_ID range filter).
         self._grid_index: dict[int, int] = {}
-        #: Enabled event categories; everything is enabled by default.
-        self._enabled: set[EventCategory] = set(EventCategory)
-        #: Enabled set with batch categories masked out when their per-record
-        #: base is disabled; consulted once per emitted event.
-        self._effective_enabled: frozenset[EventCategory] = frozenset(self._enabled)
         self.events_emitted = 0
-        self.events_dropped = 0
 
     # ------------------------------------------------------------------ #
     # configuration
@@ -86,31 +82,6 @@ class PastaEventHandler:
     def set_sink(self, sink: EventSink) -> None:
         """Set the downstream consumer (normally the event processor)."""
         self._sink = sink
-
-    def enable_category(self, category: EventCategory, enabled: bool = True) -> None:
-        """Enable or disable emission of one event category.
-
-        Disabling a fine-grained base category (``MEMORY_ACCESS`` /
-        ``INSTRUCTION``) also silences its batch form, the shape in which the
-        handler emits that data.
-        """
-        if enabled:
-            self._enabled.add(category)
-        else:
-            self._enabled.discard(category)
-        effective = set(self._enabled)
-        for batch, base in BATCH_CATEGORY_BASES.items():
-            if base not in self._enabled:
-                effective.discard(batch)
-        self._effective_enabled = frozenset(effective)
-
-    def enabled_categories(self) -> frozenset[EventCategory]:
-        """Categories that are effectively emitted.
-
-        A batch category only counts as enabled while its per-record base
-        category is enabled too, matching what :meth:`emit` actually drops.
-        """
-        return self._effective_enabled
 
     # ------------------------------------------------------------------ #
     # attachment
@@ -136,19 +107,11 @@ class PastaEventHandler:
         registry.add_memory_callback(lambda record: self._on_memory_usage(record, device_index))
         self._framework_registries.add(registry)
 
-    @property
-    def attached_backends(self) -> list[ProfilingBackend]:
-        """Vendor backends the handler is currently registered with."""
-        return list(self._backends)
-
     # ------------------------------------------------------------------ #
     # emission
     # ------------------------------------------------------------------ #
     def emit(self, event: PastaEvent) -> None:
-        """Forward one normalised event to the sink (dropping disabled categories)."""
-        if event.category not in self._effective_enabled:
-            self.events_dropped += 1
-            return
+        """Forward one normalised event to the sink."""
         if self._sink is None:
             raise HandlerError("event handler has no sink; call set_sink() first")
         self.events_emitted += 1

@@ -6,14 +6,16 @@ normalised events from the event handler and
 * **CPU-preprocesses coarse-grained events** (kernel launches, allocations,
   copies) — in this simulation a pass-through plus range filtering,
 * **GPU-preprocesses fine-grained data**: instead of shipping raw per-access
-  records to the host, the GPU-resident analysis reduces each instrumented
+  records to the host, the GPU-resident analysis reduces each analysed
   kernel launch into a per-object access-count map
   (:class:`~repro.core.events.KernelMemoryProfile`), reproducing the
-  collect-and-analyze model of Figure 2b / Figure 8b, and
+  collect-and-analyze model of Figure 2b / Figure 8b — built only while a
+  registered tool subscribes to ``KERNEL_MEMORY_PROFILE`` — and
 * **dispatches** the resulting events to the registered tools through the
-  dispatch unit, honouring each tool's category subscriptions and the active
-  range filter.  Routing is indexed — per-category tool tuples are rebuilt
-  when the tool set changes — so delivering an event costs one lookup, and
+  dispatch unit, honouring the active range filter and each tool's
+  ``subscribed_categories``, the one filter on what a tool receives.
+  Routing is indexed — per-category tool tuples are rebuilt when the tool
+  set changes — so delivering an event costs one lookup, and
   fine-grained columnar batches (one event per kernel launch) flow straight
   through to the tools' batch hooks.  A lone per-record fine-grained event
   (a third-party producer or trace) is turned into a length-1 batch at
@@ -21,7 +23,8 @@ normalised events from the event handler and
 
 An optional :class:`~repro.core.overhead.OverheadAccountant` charges every
 analysed kernel with the cost the configured backend/analysis-model pair would
-incur, which is how the Figure 9/10 experiments measure overhead.
+incur, which is how the Figure 9/10 experiments measure overhead; the
+analysis model changes only that charge, never what the tools receive.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ from repro.core.events import (
 )
 from repro.core.overhead import OverheadAccountant
 from repro.core.tool import PastaTool
-from repro.gpusim.trace import AccessCountMap
 
 #: Resolves an address to ``(object_id, object_size)`` or ``None``; normally
 #: bound to the driver allocator's lookup.
@@ -135,13 +137,11 @@ class PastaEventProcessor:
         self,
         address_resolver: Optional[AddressResolver] = None,
         range_filter: Optional[RangeFilter] = None,
-        enable_gpu_preprocessing: bool = True,
         overhead_accountant: Optional[OverheadAccountant] = None,
     ) -> None:
         self.dispatch_unit = DispatchUnit()
         self.address_resolver = address_resolver
         self.range_filter = range_filter or RangeFilter()
-        self.enable_gpu_preprocessing = enable_gpu_preprocessing
         self.overhead_accountant = overhead_accountant
         self.events_processed = 0
         self.events_filtered = 0
@@ -152,8 +152,6 @@ class PastaEventProcessor:
         #: Batches waiting for their launch's range decision; only used
         #: while the range filter can reject launches.
         self._held: list[PastaEvent] = []
-        #: Cumulative per-object access counts across all analysed kernels.
-        self.global_access_map = AccessCountMap()
 
     # ------------------------------------------------------------------ #
     # tool registration (delegated to the dispatch unit)
@@ -166,18 +164,10 @@ class PastaEventProcessor:
         """Unregister a tool."""
         self.dispatch_unit.unregister_tool(tool)
 
-    def rebuild_dispatch_index(self) -> None:
-        """Recompute event routing after a registered tool changed its
-        ``subscribed_categories`` / ``wants()`` answers in place."""
-        self.dispatch_unit.rebuild_index()
-
     @property
     def tools(self) -> list[PastaTool]:
         """Registered tools."""
         return self.dispatch_unit.tools
-
-    def _any_tool_wants(self, category: EventCategory) -> bool:
-        return self.dispatch_unit.has_subscribers(category)
 
     # ------------------------------------------------------------------ #
     # event intake
@@ -224,11 +214,8 @@ class PastaEventProcessor:
         if self.overhead_accountant is not None:
             self.overhead_accountant.record_kernel(event)
         self.dispatch_unit.dispatch(event)
-        if self.enable_gpu_preprocessing and self._any_tool_wants(
-            EventCategory.KERNEL_MEMORY_PROFILE
-        ):
-            profile = self.gpu_preprocess_kernel(event)
-            self.dispatch_unit.dispatch(profile)
+        if self.dispatch_unit.has_subscribers(EventCategory.KERNEL_MEMORY_PROFILE):
+            self.dispatch_unit.dispatch(self.gpu_preprocess_kernel(event))
 
     # ------------------------------------------------------------------ #
     # GPU-resident preprocessing (Figure 2b / Figure 8b)
@@ -255,7 +242,6 @@ class PastaEventProcessor:
             object_id = self._resolve_object(arg.address)
             access_counts[object_id] = access_counts.get(object_id, 0) + arg.access_count
             referenced[object_id] = referenced.get(object_id, 0) + arg.referenced_bytes
-            self.global_access_map.record(object_id, arg.access_count)
         self.gpu_preprocessed_kernels += 1
         return KernelMemoryProfile(
             kernel_name=event.kernel_name,

@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from repro.errors import PastaError
-from repro.core.annotations import RangeFilter, _set_active_session
+from repro.core.annotations import RangeFilter, _active_sessions
 from repro.core.events import PastaEvent
 from repro.core.handler import EventSink, PastaEventHandler
 from repro.core.overhead import OverheadAccountant
@@ -172,7 +172,6 @@ class PastaSession:
         self.processor = PastaEventProcessor(
             address_resolver=_allocator_resolver(runtime.allocator),
             range_filter=range_filter,
-            enable_gpu_preprocessing=True,
             overhead_accountant=self.overhead_accountant,
         )
         self.handler.set_sink(self.processor.submit)
@@ -247,7 +246,7 @@ class PastaSession:
         self.runtime.device.reserve_profiler_memory(PROFILER_RESERVED_BYTES)
         for tool in self._tools:
             tool.on_session_start()
-        _set_active_session(self)
+        _active_sessions.append(self)
         telemetry = _active_telemetry()
         if telemetry.enabled:
             self._obs_span = telemetry.span(
@@ -275,7 +274,7 @@ class PastaSession:
         self.handler.detach_vendor_backend(self.backend)
         self.backend.detach()
         self.runtime.device.reserve_profiler_memory(0)
-        _set_active_session(None)
+        _active_sessions.remove(self)
         self._started = False
 
     # ------------------------------------------------------------------ #
@@ -305,7 +304,6 @@ class PastaSession:
         span.set_counter("batch_records", processor.batch_records)
         span.set_counter("dispatched_events", processor.dispatch_unit.dispatched_events)
         span.set_counter("events_emitted", self.handler.events_emitted)
-        span.set_counter("events_dropped", self.handler.events_dropped)
         for tool_name, hook_ns in sorted(processor.dispatch_unit.hook_times_ns().items()):
             span.set_counter(f"hook_ns.{tool_name}", hook_ns)
         # The caching allocator lives on the attached framework context(s);

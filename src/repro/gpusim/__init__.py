@@ -45,7 +45,6 @@ from repro.gpusim.runtime import (
 )
 from repro.gpusim.stream import DEFAULT_STREAM_ID, GpuEvent, Stream, StreamManager
 from repro.gpusim.trace import (
-    AccessCountMap,
     AnalysisModel,
     DEFAULT_TRACE_BUFFER_BYTES,
     TRACE_RECORD_BYTES,
@@ -57,7 +56,6 @@ from repro.gpusim.uvm import UVM_PAGE_BYTES, ManagedRegion, UvmConfig, UvmManage
 __all__ = [
     "A100",
     "AcceleratorRuntime",
-    "AccessCountMap",
     "AnalysisModel",
     "CostModelConfig",
     "CudaRuntime",

@@ -13,14 +13,11 @@ completion time across the streams being waited on.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import StreamError
 from repro.gpusim.device import GpuDevice
-
-_stream_ids = itertools.count(1)
-_event_ids = itertools.count(1)
 
 #: Identifier of the default (legacy/null) stream.
 DEFAULT_STREAM_ID = 0
@@ -31,7 +28,7 @@ class Stream:
     """One in-order work queue on a device."""
 
     device_index: int
-    stream_id: int = field(default_factory=lambda: next(_stream_ids))
+    stream_id: int
     #: Device time at which the most recently enqueued work finishes.
     tail_time_ns: int = 0
     #: Number of operations enqueued so far.
@@ -52,7 +49,7 @@ class Stream:
 class GpuEvent:
     """A CUDA/HIP event: a marker recorded into a stream."""
 
-    event_id: int = field(default_factory=lambda: next(_event_ids))
+    event_id: int
     recorded_time_ns: Optional[int] = None
 
     @property
@@ -62,7 +59,7 @@ class GpuEvent:
 
 
 class StreamManager:
-    """Per-device collection of streams and events."""
+    """Per-device collection of streams and events, each numbered from 1."""
 
     def __init__(self, device: GpuDevice) -> None:
         self.device = device
@@ -70,10 +67,12 @@ class StreamManager:
             DEFAULT_STREAM_ID: Stream(device_index=device.index, stream_id=DEFAULT_STREAM_ID)
         }
         self._events: dict[int, GpuEvent] = {}
+        self._stream_ids = itertools.count(1)
+        self._event_ids = itertools.count(1)
 
     def create_stream(self) -> Stream:
         """Create a new non-default stream."""
-        stream = Stream(device_index=self.device.index)
+        stream = Stream(device_index=self.device.index, stream_id=next(self._stream_ids))
         self._streams[stream.stream_id] = stream
         return stream
 
@@ -101,7 +100,7 @@ class StreamManager:
     # ------------------------------------------------------------------ #
     def create_event(self) -> GpuEvent:
         """Create an unrecorded event."""
-        event = GpuEvent()
+        event = GpuEvent(event_id=next(self._event_ids))
         self._events[event.event_id] = event
         return event
 

@@ -21,7 +21,7 @@ tools that inspect addresses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from repro.gpusim.device import MiB
@@ -105,33 +105,3 @@ class TraceBuffer:
             stats.flush_rounds = 0
             stats.transferred_bytes = min(result_map_bytes, total_records * self.record_bytes)
         return stats
-
-
-@dataclass
-class AccessCountMap:
-    """The GPU-resident result structure: per-object access counts.
-
-    PASTA's memory-characterisation tool keeps a map from memory object to the
-    number of accesses that hit it.  On real hardware this map lives in device
-    memory and is updated by analysis threads; here it is a plain dictionary
-    keyed by object id.
-    """
-
-    counts: dict[int, int] = field(default_factory=dict)
-
-    def record(self, object_id: int, count: int = 1) -> None:
-        """Add ``count`` accesses attributed to ``object_id``."""
-        self.counts[object_id] = self.counts.get(object_id, 0) + count
-
-    def accessed_object_ids(self) -> list[int]:
-        """Object ids with at least one recorded access."""
-        return [oid for oid, count in self.counts.items() if count > 0]
-
-    def total_accesses(self) -> int:
-        """Sum of all recorded access counts."""
-        return sum(self.counts.values())
-
-    def merge(self, other: "AccessCountMap") -> None:
-        """Merge another map into this one (used across kernel launches)."""
-        for oid, count in other.counts.items():
-            self.record(oid, count)

@@ -181,7 +181,6 @@ class TraceReplayer:
         processor = PastaEventProcessor(
             address_resolver=resolver.resolve,
             range_filter=self.range_filter,
-            enable_gpu_preprocessing=True,
             overhead_accountant=accountant,
         )
         for tool in self.tools:

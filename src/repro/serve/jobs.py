@@ -100,6 +100,10 @@ class Job:
     result: Optional[dict[str, object]] = None
     #: True when the job was re-enqueued by a daemon restart.
     resumed: bool = False
+    #: What :meth:`JobManager.submit` parsed: the cells to run, and the
+    #: campaign they expand from (None for a profile job).  Dropped when the
+    #: job finishes; a job recovered from the journal parses its payload.
+    parsed: Optional[tuple[list[ProfileSpec], Optional[CampaignSpec]]] = None
 
     @property
     def terminal(self) -> bool:
@@ -257,19 +261,22 @@ class JobManager:
     # ------------------------------------------------------------------ #
     # submission
     # ------------------------------------------------------------------ #
-    def _digest_of(self, kind: str, payload: Mapping[str, object]) -> str:
-        """Validate a spec payload and compute its content digest."""
+    @staticmethod
+    def _parse(
+        kind: str, payload: Mapping[str, object]
+    ) -> tuple[list[ProfileSpec], Optional[CampaignSpec]]:
+        """Validate a spec payload: its cells, and the campaign they expand from."""
         if kind == "profile":
-            spec = ProfileSpec.from_dict(payload)
-            _reject_record_to([spec])
-            return spec.digest(self.version)
-        if kind == "campaign":
+            cells, campaign = [ProfileSpec.from_dict(payload)], None
+        elif kind == "campaign":
             campaign = CampaignSpec.from_dict(payload)
             # Expansion validates every axis value early, so a bad grid is a
             # 400 at submit time, not a failed job minutes later.
-            _reject_record_to(campaign.expand())
-            return content_digest(campaign.to_dict(), self.version)
-        raise ReproError(f"unknown job kind {kind!r}; expected {list(JOB_KINDS)}")
+            cells = campaign.expand()
+        else:
+            raise ReproError(f"unknown job kind {kind!r}; expected {list(JOB_KINDS)}")
+        _reject_record_to(cells)
+        return cells, campaign
 
     def _check_quotas(self, namespace: str) -> None:
         """Raise :class:`QuotaExceeded` when ``namespace`` is over budget."""
@@ -315,7 +322,11 @@ class JobManager:
                 classify_submission(payload) if ("kind" in payload or "spec" in payload)
                 else (kind, dict(payload))
             )
-        digest = self._digest_of(kind, spec_payload)
+        cells, campaign = self._parse(kind, spec_payload)
+        digest = (
+            cells[0].digest(self.version) if campaign is None
+            else content_digest(campaign.to_dict(), self.version)
+        )
         telemetry = _active_telemetry()
         with self._cond:
             if self._closed:
@@ -327,6 +338,7 @@ class JobManager:
                 kind=kind,
                 payload=json_sanitize(dict(spec_payload)),
                 digest=digest,
+                parsed=(cells, campaign),
             )
             # Journal first: a job the journal never recorded would not
             # survive a restart, so it must not enter the table either.
@@ -529,14 +541,14 @@ class JobManager:
         """Run a job through the campaign scheduler, inline: a campaign over
         its grid, a profile job as a one-cell campaign whose result is the
         cell's record, as the cache holds it."""
-        if job.kind == "campaign":
-            spec: Union[CampaignSpec, list[ProfileSpec]] = CampaignSpec.from_dict(job.payload)
-            digests = [cell.digest(self.version) for cell in spec.expand()]
-        else:
-            spec, digests = [ProfileSpec.from_dict(job.payload)], [job.digest]
-        scheduler = CampaignScheduler(cache=self.cache, version=self.version)
+        cells, campaign = job.parsed or self._parse(job.kind, job.payload)
+        digests = [cell.digest(self.version) for cell in cells]
+        scheduler = CampaignScheduler(
+            cache=self.cache, version=self.version,
+            execution=None if campaign is None else campaign.execution,
+        )
         scheduler.progress = _CellProgress(self, job, scheduler, digests)
-        run = scheduler.run(spec)
+        run = scheduler.run(cells, name=None if campaign is None else campaign.name)
         telemetry = _active_telemetry()
         telemetry.counter("serve.simulations").inc(run.executed)
         telemetry.counter("serve.cache_hits").inc(run.cached)
@@ -604,6 +616,7 @@ class JobManager:
     ) -> None:
         job.state = state
         job.finished_unix = round(time.time(), 6)
+        job.parsed = None
         terminal_record: dict[str, object] = {
             "event": "finished",
             "job_id": job.id,

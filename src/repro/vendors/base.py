@@ -104,7 +104,6 @@ class ProfilingBackend(RuntimeCallbacks):
         self._callbacks: tuple[VendorCallbackFn, ...] = ()
         self._runtime: Optional[AcceleratorRuntime] = None
         self._instruction_tracing_enabled = False
-        self.callback_count = 0
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -159,7 +158,6 @@ class ProfilingBackend(RuntimeCallbacks):
     # ------------------------------------------------------------------ #
     def _emit(self, kind: str, payload: object, device_index: int, cbid: str = "") -> None:
         callback = VendorCallback(kind, cbid or self.callback_ids[kind], payload, device_index, self.name)
-        self.callback_count += 1
         # The callback tuple is immutable: registration replaces it, so
         # iterating is safe even if a receiver mutates the registration set.
         for fn in self._callbacks:

@@ -67,10 +67,6 @@ class TestEventTaxonomy:
         assert TensorAllocEvent().category is EventCategory.TENSOR_ALLOC
         assert TensorFreeEvent().category is EventCategory.TENSOR_FREE
 
-    def test_event_ids_are_unique(self):
-        a, b = RuntimeApiEvent(), RuntimeApiEvent()
-        assert a.event_id != b.event_id
-
     def test_kernel_launch_total_threads(self):
         event = KernelLaunchEvent(grid=(4, 2, 1), block=(128, 1, 1))
         assert event.total_threads == 1024
@@ -323,15 +319,6 @@ class TestHandlerConfiguration:
         handler = PastaEventHandler()
         with pytest.raises(HandlerError):
             handler.emit(RuntimeApiEvent(api_name="cudaMalloc"))
-
-    def test_category_filtering(self):
-        handler, events = make_handler_with_sink()
-        handler.enable_category(EventCategory.RUNTIME_API, enabled=False)
-        handler.emit(RuntimeApiEvent(api_name="cudaMalloc"))
-        handler.emit(SynchronizationEvent())
-        assert len(events) == 1
-        assert handler.events_dropped == 1
-        assert EventCategory.RUNTIME_API not in handler.enabled_categories()
 
     def test_region_emission(self):
         handler, events = make_handler_with_sink()

@@ -63,7 +63,7 @@ def make_launch_event(grid_index=0, arguments=(), name="k", accesses=0):
 
 class TestDispatchAndSubscriptions:
     def test_events_reach_subscribed_tools_only(self):
-        processor = PastaEventProcessor(enable_gpu_preprocessing=False)
+        processor = PastaEventProcessor()
         counting, kernel_only = CountingTool(), KernelOnlyTool()
         processor.register_tool(counting)
         processor.register_tool(kernel_only)
@@ -91,7 +91,7 @@ class TestDispatchAndSubscriptions:
         assert seen == ["patched"] and tool.kernels == []
 
     def test_unregister_tool(self):
-        processor = PastaEventProcessor(enable_gpu_preprocessing=False)
+        processor = PastaEventProcessor()
         tool = KernelOnlyTool()
         processor.register_tool(tool)
         processor.unregister_tool(tool)
@@ -105,7 +105,7 @@ class TestDispatchAndSubscriptions:
 
 class TestGpuPreprocessing:
     def test_kernel_memory_profile_is_synthesised(self):
-        processor = PastaEventProcessor(enable_gpu_preprocessing=True)
+        processor = PastaEventProcessor()
         received: list[KernelMemoryProfile] = []
 
         class ProfileTool(PastaTool):
@@ -131,10 +131,7 @@ class TestGpuPreprocessing:
 
     def test_address_resolver_attributes_to_objects(self):
         objects = {0x1000: (42, 4096)}
-        processor = PastaEventProcessor(
-            address_resolver=lambda addr: objects.get(addr),
-            enable_gpu_preprocessing=True,
-        )
+        processor = PastaEventProcessor(address_resolver=lambda addr: objects.get(addr))
         received = []
 
         class ProfileTool(PastaTool):
@@ -148,10 +145,9 @@ class TestGpuPreprocessing:
         args = (KernelArgumentInfo(address=0x1000, size=4096, referenced_bytes=4096, access_count=10),)
         processor.submit(make_launch_event(arguments=args))
         assert list(received[0].object_access_counts) == [42]
-        assert processor.global_access_map.counts[42] == 10
 
     def test_no_profile_without_interested_tools(self):
-        processor = PastaEventProcessor(enable_gpu_preprocessing=True)
+        processor = PastaEventProcessor()
         processor.register_tool(KernelOnlyTool())
         processor.submit(make_launch_event())
         assert processor.gpu_preprocessed_kernels == 0
@@ -191,7 +187,7 @@ class TestRangeFilter:
     def test_processor_applies_filter_to_kernels(self):
         filt = RangeFilter()
         filt.set_grid_window(1, 2)
-        processor = PastaEventProcessor(range_filter=filt, enable_gpu_preprocessing=False)
+        processor = PastaEventProcessor(range_filter=filt)
         tool = KernelOnlyTool()
         processor.register_tool(tool)
         for index in range(4):
@@ -200,7 +196,7 @@ class TestRangeFilter:
         assert processor.events_filtered == 2
 
     def test_processor_region_events_toggle_filter(self):
-        processor = PastaEventProcessor(enable_gpu_preprocessing=False)
+        processor = PastaEventProcessor()
         tool = KernelOnlyTool()
         processor.register_tool(tool)
         processor.submit(make_launch_event(grid_index=0, name="before"))

@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from repro.errors import PastaError, VendorError
-from repro.core.annotations import RangeFilter
+from repro.core.annotations import RangeFilter, _active_sessions
 from repro.core.callstack import build_cross_layer_stack, synthesize_cpp_frames
-from repro.core.events import KernelLaunchEvent
+from repro.core.events import EventCategory, KernelLaunchEvent
 from repro.core.knobs import KernelStats, KnobRegistry
 from repro.core.overhead import OverheadAccountant
 from repro.core.serialization import stable_json_dumps
 from repro.core.session import PROFILER_RESERVED_BYTES, PastaSession
+from repro.core.tool import PastaTool
 from repro import api, pasta
 from repro.dlframework.context import FrameworkContext
 from repro.dlframework.engine import ExecutionEngine
@@ -99,6 +103,44 @@ class TestAnnotations:
             after = freq.total_launches
         assert inside > 0
         assert after == before + inside
+
+    def test_annotations_reach_every_started_session(self):
+        class RegionCounter(PastaTool):
+            tool_name = "region_counter"
+            subscribed_categories = frozenset(
+                {EventCategory.REGION_START, EventCategory.REGION_STOP}
+            )
+
+        counters = [RegionCounter(), RegionCounter()]
+        sessions = [PastaSession(create_runtime(A100), tools=[tool]) for tool in counters]
+        with sessions[0]:
+            with sessions[1]:
+                for _ in range(2):
+                    pasta.start("iter")
+                    pasta.stop("iter")
+                assert [tool.events_received for tool in counters] == [4, 4]
+                assert [s.processor.range_filter.annotations_used for s in sessions] == [True, True]
+            # Stopping one rank's session leaves the other one annotated.
+            pasta.start("iter")
+            pasta.stop("iter")
+        assert [tool.events_received for tool in counters] == [6, 4]
+
+    def test_sessions_started_and_stopped_in_threads_leave_none_active(self):
+        def cycle(runtime):
+            for _ in range(50):
+                with PastaSession(runtime):
+                    pass
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                futures = [pool.submit(cycle, create_runtime(A100)) for _ in range(8)]
+                for future in futures:
+                    future.result(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert _active_sessions == []
 
     def test_annotations_are_noops_without_a_session(self):
         # Must not raise even though no session is active.

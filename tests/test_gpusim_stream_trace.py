@@ -8,7 +8,6 @@ from repro.errors import StreamError
 from repro.gpusim.device import A100, GpuDevice
 from repro.gpusim.stream import DEFAULT_STREAM_ID, StreamManager
 from repro.gpusim.trace import (
-    AccessCountMap,
     AnalysisModel,
     TraceBuffer,
     TRACE_RECORD_BYTES,
@@ -97,22 +96,3 @@ class TestTraceBuffer:
     def test_small_trace_transfers_less_than_result_map(self):
         stats = TraceBuffer().collect(10, AnalysisModel.GPU_RESIDENT)
         assert stats.transferred_bytes == 10 * TRACE_RECORD_BYTES
-
-
-class TestAccessCountMap:
-    def test_record_and_query(self):
-        amap = AccessCountMap()
-        amap.record(1, 10)
-        amap.record(1, 5)
-        amap.record(2)
-        assert amap.counts[1] == 15
-        assert amap.total_accesses() == 16
-        assert set(amap.accessed_object_ids()) == {1, 2}
-
-    def test_merge(self):
-        a, b = AccessCountMap(), AccessCountMap()
-        a.record(1, 3)
-        b.record(1, 4)
-        b.record(2, 1)
-        a.merge(b)
-        assert a.counts == {1: 7, 2: 1}

@@ -209,7 +209,7 @@ def test_range_filter_counts_are_consistent(start, width, kernels):
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.sampled_from(["gemm", "copy", "softmax", "reduce"]), min_size=0, max_size=60))
 def test_kernel_frequency_tool_total_matches_dispatched(names):
-    processor = PastaEventProcessor(enable_gpu_preprocessing=False)
+    processor = PastaEventProcessor()
     tool = KernelFrequencyTool()
     processor.register_tool(tool)
     for index, name in enumerate(names):

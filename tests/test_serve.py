@@ -27,7 +27,9 @@ from pathlib import Path
 import pytest
 
 import repro
+import repro.api.spec as spec_module
 from repro import pasta
+from repro.api.spec import ProfileSpec
 from repro.campaign.faults import FaultInjector, FaultPlan, FaultRule, faults_scope
 from repro.core.serialization import json_sanitize, stable_json_dumps
 from repro.errors import ReproError
@@ -441,6 +443,58 @@ class TestRestart:
             assert int(newer.id.split("-")[1]) > int(job.id.split("-")[1])
         finally:
             reborn.close()
+
+
+class TestParseOnce:
+    def test_a_warm_job_parses_and_digests_each_spec_once(
+        self, tmp_path: Path, monkeypatch: pytest.MonkeyPatch
+    ) -> None:
+        manager = JobManager(tmp_path / "serve", workers=1)
+
+        def run(payload: dict[str, object]):
+            job = manager.submit(payload)
+            wait_for(lambda: job.terminal, timeout=120)
+            assert job.state == "done" and job.parsed is None
+            return job
+
+        try:
+            cold_profile, cold_campaign = run(SPEC), run(CAMPAIGN)
+            parses: list[object] = []
+            digests: list[object] = []
+            real_from_dict = ProfileSpec.from_dict.__func__  # type: ignore[attr-defined]
+            real_digest = spec_module.content_digest
+
+            def counting_from_dict(cls, data):
+                parses.append(data)
+                return real_from_dict(cls, data)
+
+            def counting_digest(*args):
+                digests.append(args)
+                return real_digest(*args)
+
+            monkeypatch.setattr(ProfileSpec, "from_dict", classmethod(counting_from_dict))
+            monkeypatch.setattr(spec_module, "content_digest", counting_digest)
+            warm = run(SPEC)
+            assert (len(parses), len(digests)) == (1, 1)
+            assert warm.cache_hit and warm.result == cold_profile.result
+
+            digests.clear()
+            warm = run(CAMPAIGN)
+            assert len(digests) == 4
+            assert warm.cache_hit and warm.result is not None
+            cells = warm.result["cells"]
+            assert [c["digest"] for c in cells] == [
+                c["digest"] for c in cold_campaign.result["cells"]
+            ]
+            for job in (cold_campaign, warm):
+                progress = sorted(
+                    (r for r in job.events if r["type"] == "progress"), key=lambda r: r["index"]
+                )
+                assert [p["digest"] for p in progress] == [
+                    c["digest"] for c in job.result["cells"]
+                ]
+        finally:
+            manager.close()
 
 
 class TestQuotaExceededType:
