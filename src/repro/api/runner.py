@@ -507,6 +507,8 @@ def execute(
                 if isinstance(record_to, MemoryTrace):
                     writer = record_to
                     writer.header = header
+                    if writer.save_to is not None:
+                        writer.file = recording.enter_context(TraceWriter(writer.save_to, header))
                 else:
                     writer = recording.enter_context(TraceWriter(record_to, header))
             sessions = []

@@ -279,24 +279,22 @@ def _run_task(
 
     A simulate-mode task is one job, run by ``runner``.  A replay-mode task
     is one workload group: its workload is simulated once into a
-    :class:`~repro.replay.writer.MemoryTrace` (saved to ``trace_path`` when
-    given) and every member is replayed from those events.  Retries cover
-    the job or the recording; a group's members carry the recording's
-    ``attempts``/``attempt_errors``, and a member whose replay raises fails
-    alone.  A failure never raises: it is the member's ``"failed"`` record,
-    which ``degrade`` replaces by the job's stripped fallback
-    (:func:`_degraded`), run here so the task's timeout covers it.
-    Module-level, so process pools can pickle it.
+    :class:`~repro.replay.writer.MemoryTrace` and every member is replayed
+    from those events.  With ``trace_path``, the recording is written there
+    while it runs; an attempt that fails leaves an incomplete trace, which
+    the next attempt overwrites.  Retries cover the job or the recording; a
+    group's members carry the recording's ``attempts``/``attempt_errors``,
+    and a member whose replay raises fails alone.  A failure never raises:
+    it is the member's ``"failed"`` record, which ``degrade`` replaces by
+    the job's stripped fallback (:func:`_degraded`), run here so the task's
+    timeout covers it.  Module-level, so process pools can pickle it.
     """
     trace = MemoryTrace()
 
     def record(payload: dict[str, object]) -> dict[str, object]:
         nonlocal trace
-        trace = MemoryTrace()  # every attempt records from scratch
-        summary = record_workload_trace(payload, trace)
-        if trace_path is not None:
-            trace.save(trace_path)
-        return summary
+        trace = MemoryTrace(save_to=trace_path)  # every attempt records from scratch
+        return record_workload_trace(payload, trace)
 
     try:
         if not replay:
@@ -522,9 +520,10 @@ class CampaignScheduler:
         a live event stream to produce their trace artifact.  Stolen cells
         that share a workload form a group of their own.
     trace_dir:
-        Where replay mode saves each workload group's recording, as
-        ``workload-NNNN.pastatrace`` once the recording finishes; with the
-        default ``None`` nothing is written.
+        Where replay mode writes each workload group's recording, as
+        ``workload-NNNN.pastatrace``, while the group records; a failed
+        attempt leaves an incomplete trace there until its retry
+        overwrites it.  With the default ``None`` nothing is written.
     progress:
         Optional :class:`~repro.campaign.progress.ProgressWriter` streaming
         job lifecycle records (queued/started/retried/finished with cache

@@ -132,15 +132,26 @@ def start(label: str = "") -> None:
 
     Inside a region, kernel launches and fine-grained events are analysed;
     once any region has been used, launches outside all regions are skipped.
-    The region opens on every started session.  A no-op when no PASTA
-    session is active, so annotated application code runs unmodified
-    without the profiler.
+    The region opens on every started session.  A session started while a
+    region is open never sees that region: it analyses as if no region had
+    been used until the next ``start()``.  A no-op when no PASTA session is
+    active, so annotated application code runs unmodified without the
+    profiler.
     """
     for session in tuple(_active_sessions):
         session.begin_region(label)
 
 
 def stop(label: str = "") -> None:
-    """End the innermost analysis region (the paper's ``pasta.stop()``)."""
-    for session in tuple(_active_sessions):
+    """End the innermost analysis region (the paper's ``pasta.stop()``).
+
+    The region ends on every started session that has one open.  Raises
+    :class:`AnnotationError` when sessions are started and none of them has
+    a region open: a ``stop()`` without a matching ``start()``.
+    """
+    sessions = tuple(_active_sessions)
+    open_in = [s for s in sessions if s.processor.range_filter.region_depth]
+    if sessions and not open_in:
+        raise AnnotationError("pasta.stop() called without a matching pasta.start()")
+    for session in open_in:
         session.end_region(label)

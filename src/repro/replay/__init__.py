@@ -15,8 +15,9 @@ record-once/analyze-many model of vendor profilers' offline workflows:
   1.6.0) chunks, all JSON lines, stay readable;
 * :mod:`repro.replay.writer` — :class:`TraceWriter`, the buffered recording
   tap that ``PastaSession(trace_writer=...)`` installs between the event
-  handler and the event processor, and :class:`MemoryTrace`, the same tap
-  kept in memory;
+  handler and the event processor, which compresses and writes each chunk
+  on a thread of its own, and :class:`MemoryTrace`, the same tap kept in
+  memory (and, with ``save_to``, also written to a file as it records);
 * :mod:`repro.replay.reader` — :class:`TraceReader`, a streaming reader with
   category / kernel-range / region slicing and a lightweight seek index;
 * :mod:`repro.replay.replayer` — :class:`TraceReplayer`, which re-drives any

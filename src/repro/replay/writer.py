@@ -4,10 +4,13 @@
 gzip-member container described in :mod:`repro.replay.format`.  Events are
 buffered and laid out one chunk at a time (:func:`~repro.replay.format.encode_chunk`),
 so the per-event cost on the recording (live) session is one list append
-and a category count; encoding and compression happen every
-``chunk_events`` events.  Closing the writer emits the footer (counts +
-content digest) and a sidecar index that maps every chunk to its
-``(offset, length)`` byte span for random access.
+and a category count.  Every ``chunk_events`` events the caller encodes the
+buffer and hands the chunk to the writer's thread, which digests,
+compresses and appends it while the caller goes on producing and encoding
+the next one (zlib and hashlib release the GIL).  At most one chunk is in
+flight, and a failure on that thread is raised on the caller.  Closing the
+writer emits the footer (counts + content digest) and a sidecar index that
+maps every chunk to its ``(offset, length)`` byte span for random access.
 
 The profile runner (:func:`repro.api.execute`) owns the writer and hands it
 to every rank's ``PastaSession(trace_writer=...)``, which installs it as a
@@ -23,6 +26,7 @@ import dataclasses
 import gzip
 import hashlib
 import json
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Union
@@ -116,20 +120,21 @@ class TraceWriter:
         self._closed = False
         self._complete = True
         self._abort_reason = ""
+        #: The thread writing the chunk in flight, and what it raised.
+        self._pending: Optional[threading.Thread] = None
+        self._error: Optional[BaseException] = None
         self.path.parent.mkdir(parents=True, exist_ok=True)
         index_path_for(self.path).unlink(missing_ok=True)  # a stale one describes another file
         self._file = open(self.path, "wb")
         self._offset = 0
-        self._header_length = self._write_member(
-            (dumps_record(header.to_record()) + "\n").encode("utf-8")
-        )
+        self._header_length = self._write_record(header.to_record())
 
     # ------------------------------------------------------------------ #
     # writing
     # ------------------------------------------------------------------ #
     @property
     def closed(self) -> bool:
-        """True once the footer has been written, or a write failed."""
+        """True once the footer has been written, or a failed write was raised."""
         return self._closed
 
     def write(self, event: PastaEvent) -> None:
@@ -153,23 +158,49 @@ class TraceWriter:
     def _write_member(self, payload: bytes) -> int:
         """Compress ``payload`` as one gzip member; returns its byte length.
 
-        Fault site ``trace.write``.  A failed write leaves the file torn, so
-        the writer writes nothing more, from ``close``, ``abort`` or ``__del__``.
+        Fault site ``trace.write``; runs on the caller for the header and
+        footer and on the writer thread for chunks.  A failed write leaves the
+        file torn, so the writer writes nothing more, from ``close``,
+        ``abort`` or ``__del__``.
         """
         from repro.campaign.faults import active_faults  # lazy: repro.campaign imports us
 
         member = gzip.compress(payload, compresslevel=COMPRESS_LEVEL, mtime=0)
+        fault = active_faults().fire("trace.write", label=str(self.path))
+        if fault is not None and fault.kind == "torn_write":
+            self._file.write(member[: max(1, len(member) // 2)])
+            raise TraceError(f"injected torn write at {self.path}")
+        self._file.write(member)
+        self._offset += len(member)
+        return len(member)
+
+    def _write_record(self, record: dict[str, object]) -> int:
+        """Write the header or footer member on the caller's thread."""
         try:
-            fault = active_faults().fire("trace.write", label=str(self.path))
-            if fault is not None and fault.kind == "torn_write":
-                self._file.write(member[: max(1, len(member) // 2)])
-                raise TraceError(f"injected torn write at {self.path}")
-            self._file.write(member)
+            return self._write_member((dumps_record(record) + "\n").encode("utf-8"))
         except BaseException:
             self._fail()
             raise
-        self._offset += len(member)
-        return len(member)
+
+    def _write_chunk(self, payload: bytes, chunk: ChunkInfo) -> None:
+        """The writer thread: digest, compress and append one encoded chunk."""
+        try:
+            self._hasher.update(payload)
+            chunk.offset = self._offset
+            chunk.length = self._write_member(payload)
+            self._chunks.append(chunk)
+        except BaseException as error:
+            self._error = error  # raised on the caller by _wait()
+
+    def _wait(self) -> None:
+        """Wait for the chunk in flight; a failure writing it is raised here."""
+        if self._pending is not None:
+            self._pending.join()
+            self._pending = None
+        if self._error is not None:
+            error, self._error = self._error, None
+            self._fail()
+            raise error
 
     def _fail(self) -> None:
         """Give the file up unfinished: no footer and no index follow."""
@@ -180,23 +211,28 @@ class TraceWriter:
     def _flush_chunk(self) -> None:
         if not self._buffer:
             return
-        offset = self._offset
         try:
             payload = encode_chunk(self._buffer)
         except BaseException:
+            self._wait()  # a chunk that failed earlier is the first error
             self._fail()  # like a failed write: the chunk cannot be written
             raise
-        self._hasher.update(payload)
-        length = self._write_member(payload)
-        self._chunks.append(ChunkInfo(
-            offset=offset,
-            length=length,
+        chunk = ChunkInfo(
+            offset=0,  # offset and length: set once the member is written
+            length=0,
             events=len(self._buffer),
             first_event=self.events_written - len(self._buffer),
             categories=sorted(self._buffer_categories),
             min_grid=self._buffer_min_grid,
             max_grid=self._buffer_max_grid,
-        ))
+        )
+        self._wait()  # one chunk in flight at a time
+        # A thread per chunk: none waits idle, so none can outlive a writer
+        # that is dropped without close().
+        self._pending = threading.Thread(
+            target=self._write_chunk, args=(payload, chunk), name="pasta-trace-writer"
+        )
+        self._pending.start()
         self._buffer = []
         self._buffer_categories = set()
         self._buffer_min_grid = None
@@ -232,11 +268,10 @@ class TraceWriter:
         if self._closed:
             return self.footer()
         self._flush_chunk()
+        self._wait()
         footer = self.footer()
         footer_offset = self._offset
-        footer_length = self._write_member(
-            (dumps_record(footer.to_record()) + "\n").encode("utf-8")
-        )
+        footer_length = self._write_record(footer.to_record())
         self._file.close()
         self._closed = True
         index = {
@@ -278,27 +313,35 @@ class MemoryTrace:
     session tap a :class:`TraceWriter` gets; every replay entry point accepts
     it as a trace and re-drives its events without a decode (replays only
     read them, so one recording serves any number of replays).
+
+    With ``save_to``, the recording is also written to a trace file there
+    while it runs: the runner opens a :class:`TraceWriter` at ``save_to``
+    (:attr:`file`), which this trace forwards each event to, and closes it
+    when the run finishes or aborts it when the run fails.  Replays still
+    read the events in memory, so :attr:`path` stays ``None``.
     """
 
-    path = None  # no file; the session tap never closes it
+    path = None  # no file to replay from; the session tap never closes it
     closed = False
 
     def __init__(
-        self, header: Optional[TraceHeader] = None, events: Iterable[PastaEvent] = ()
+        self,
+        header: Optional[TraceHeader] = None,
+        events: Iterable[PastaEvent] = (),
+        save_to: Union[str, Path, None] = None,
     ) -> None:
         self.header = header
         self._events = list(events)
+        self.save_to = save_to
+        #: The runner's writer at ``save_to`` (None when not saving).
+        self.file: Optional[TraceWriter] = None
 
     def write(self, event: PastaEvent) -> None:
         """Append one event (the session tap's interface)."""
         self._events.append(event)
+        if self.file is not None:
+            self.file.write(event)
 
     def events(self) -> Iterator[PastaEvent]:
         """Every recorded event, in order."""
         return iter(self._events)
-
-    def save(self, path: Union[str, Path]) -> None:
-        """Encode the recording into a trace file at ``path``."""
-        with TraceWriter(path, self.header) as writer:
-            for event in self._events:
-                writer.write(event)

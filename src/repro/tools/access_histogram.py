@@ -61,7 +61,12 @@ class AccessHistogramTool(PastaTool):
         for size, count in zip(sizes.tolist(), counts.tolist()):
             by_size[size] += count
         self.records_by_launch[event.kernel_launch_id] += records
-        self._blocks.update(np.unique(event.addresses // self.block_bytes).tolist())
+        # Distinct blocks by sorting: numpy 2's np.unique hashes, which is
+        # slower on a launch's few thousand block ids.
+        blocks = np.sort(event.addresses // self.block_bytes)
+        first = np.ones(len(blocks), dtype=bool)
+        first[1:] = blocks[1:] != blocks[:-1]  # the first of each run
+        self._blocks.update(blocks[first].tolist())
 
     def on_instruction_batch(self, event: InstructionBatch) -> None:
         kinds = event.kinds

@@ -7,7 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.errors import PastaError, VendorError
+from repro.errors import AnnotationError, PastaError, VendorError
 from repro.core.annotations import RangeFilter, _active_sessions
 from repro.core.callstack import build_cross_layer_stack, synthesize_cpp_frames
 from repro.core.events import EventCategory, KernelLaunchEvent
@@ -124,6 +124,21 @@ class TestAnnotations:
             pasta.start("iter")
             pasta.stop("iter")
         assert [tool.events_received for tool in counters] == [6, 4]
+
+    def test_a_session_started_inside_a_region_ignores_its_stop(self):
+        first, second = (PastaSession(create_runtime(A100)) for _ in range(2))
+        with first:
+            pasta.start("iter")
+            with second:
+                pasta.stop("iter")  # open on the first session only
+                filters = [s.processor.range_filter for s in (first, second)]
+                assert [f.region_depth for f in filters] == [0, 0]
+                assert [f.annotations_used for f in filters] == [True, False]
+                with pytest.raises(AnnotationError, match="without a matching"):
+                    pasta.stop("iter")
+                pasta.start("iter")
+                pasta.stop("iter")
+                assert [f.annotations_used for f in filters] == [True, True]
 
     def test_sessions_started_and_stopped_in_threads_leave_none_active(self):
         def cycle(runtime):

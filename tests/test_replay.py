@@ -9,8 +9,10 @@ import json
 import re
 import shutil
 import struct
+import sys
 import threading
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 import repro
 import repro.api.runner as api_runner
 import repro.replay.reader as reader_module
+import repro.replay.writer as writer_module
 from repro import api
 from repro.api import ParallelismSpec, ProfileSpec
 from repro.campaign import (
@@ -521,23 +524,89 @@ class TestContainer:
         with pytest.raises(TraceError, match="incomplete"):
             list(sliced.events())
 
-    def test_a_torn_trace_write_is_never_finished_later(self, tmp_path):
-        trace = tmp_path / "alexnet.pastatrace"
-        run = dict(device="a100", tools=("kernel_frequency",), batch_size=2)
-        api.run("alexnet", **run, record_to=trace)
-        # Hit 0 is the header member, hits 1..n the chunks: tear the last chunk.
-        chunks = TraceReader(trace).footer.chunk_count
+    @pytest.mark.parametrize("chunk", [1, 2, 3], ids=["chunk1", "chunk2", "chunk3"])
+    def test_a_torn_trace_write_is_never_finished_later(self, tmp_path, chunk):
+        trace = tmp_path / "resnet34.pastatrace"
+        run = dict(device="a100", mode="train", tools=("kernel_frequency",), batch_size=2)
+        api.run("resnet34", **run, record_to=trace)
+        # Hit 0 is the header member, hits 1..n the chunks: tear each chunk
+        # in turn.  A torn chunk surfaces at the next chunk's write, or at
+        # close() for the last one.
+        assert TraceReader(trace).footer.chunk_count == 3
         plan = FaultPlan(rules=(
-            FaultRule(site="trace.write", kind="torn_write", after=chunks),))
+            FaultRule(site="trace.write", kind="torn_write", after=chunk),))
         with faults_scope(FaultInjector(plan)):
             with pytest.raises(TraceError, match="injected torn write"):
-                api.run("alexnet", **run, record_to=trace)
+                api.run("resnet34", **run, record_to=trace)
         size = trace.stat().st_size
         gc.collect()  # a dropped writer must not write a footer from __del__
         assert trace.stat().st_size == size
         assert not index_path_for(trace).exists()
         with pytest.raises(TraceFormatError, match=re.escape(str(trace))):
             TraceReader(trace).footer
+
+    def test_chunks_are_compressed_off_the_callers_thread(self, tmp_path, monkeypatch):
+        compressed_on = []
+        compress = gzip.compress
+
+        def noting_thread(*args, **kwargs):
+            compressed_on.append(threading.get_ident())
+            return compress(*args, **kwargs)
+
+        monkeypatch.setattr(writer_module.gzip, "compress", noting_thread)
+        with TraceWriter(tmp_path / "t.pastatrace", make_header(), chunk_events=2) as writer:
+            for size in range(6):
+                writer.write(MemcpyEvent(size=size))
+        caller = threading.get_ident()
+        # The header, three chunks and the footer, in that order.
+        assert len(compressed_on) == 5
+        assert compressed_on[0] == compressed_on[-1] == caller
+        assert caller not in compressed_on[1:-1]
+
+    @pytest.mark.parametrize("ending", ["close", "abort", "torn"])
+    def test_no_writer_thread_outlives_the_recording(self, tmp_path, ending):
+        before = threading.enumerate()
+        path = tmp_path / "t.pastatrace"
+        tear = (FaultRule(site="trace.write", kind="torn_write", after=1),)
+        with faults_scope(FaultInjector(FaultPlan(rules=tear if ending == "torn" else ()))):
+            writer = TraceWriter(path, make_header(), chunk_events=2)
+            if ending == "torn":
+                with pytest.raises(TraceError, match="injected torn write"):
+                    for size in range(6):
+                        writer.write(MemcpyEvent(size=size))
+            else:
+                for size in range(5):
+                    writer.write(MemcpyEvent(size=size))
+                getattr(writer, ending)()
+        assert set(threading.enumerate()) <= set(before)  # no writer thread left
+        assert index_path_for(path).exists() == (ending != "torn")
+
+    @pytest.mark.parametrize("surfaces_at", ["write", "close", "abort"])
+    def test_a_failed_chunk_write_is_raised_on_the_caller(self, tmp_path, monkeypatch, surfaces_at):
+        path = tmp_path / "t.pastatrace"
+        writer = TraceWriter(path, make_header(), chunk_events=2)
+        failure = OSError("no space left on device")
+
+        def full_disk(*args, **kwargs):
+            raise failure
+
+        monkeypatch.setattr(writer_module.gzip, "compress", full_disk)
+        writer.write(MemcpyEvent(size=1))
+        writer.write(MemcpyEvent(size=2))  # hands chunk 1 to the writer thread
+        writer.write(MemcpyEvent(size=3))  # buffered: nothing to report yet
+        with pytest.raises(OSError) as raised:
+            if surfaces_at == "write":
+                writer.write(MemcpyEvent(size=4))  # the next chunk's flush
+            else:
+                getattr(writer, surfaces_at)()
+        assert raised.value is failure
+        assert writer.closed
+        size = path.stat().st_size
+        writer.close()
+        del writer
+        gc.collect()
+        assert path.stat().st_size == size
+        assert not index_path_for(path).exists()
 
     def test_an_event_without_a_codec_fails_the_recording_like_a_torn_write(self, tmp_path):
         class Unregistered(MemcpyEvent):
@@ -595,6 +664,31 @@ class TestContainer:
         writer.close()
         with pytest.raises(TraceError):
             writer.write(MemcpyEvent(size=1))
+
+    def test_concurrent_writers_each_write_their_own_trace(self, tmp_path):
+        # More recording threads than cores, each with its writer thread, and
+        # a short switch interval: a chunk written out of order or an offset
+        # lost between the two threads breaks the digest or the index.
+        def record(index):
+            path = tmp_path / f"t{index}.pastatrace"
+            with TraceWriter(path, make_header(), chunk_events=3) as writer:
+                for size in range(200):
+                    writer.write(MemcpyEvent(size=1000 * index + size))
+            return path
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                futures = [pool.submit(record, index) for index in range(8)]
+                paths = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for index, path in enumerate(paths):
+            reader = TraceReader(path)
+            assert reader.verify() and reader.footer.chunk_count == 67
+            assert [event.size for event in reader.events()] == [
+                1000 * index + size for size in range(200)]
 
 
 # --------------------------------------------------------------------------- #
@@ -1002,7 +1096,7 @@ class TestJobTraceHelpers:
 
 
 # --------------------------------------------------------------------------- #
-# in-memory recordings: replayed as they are, saved only on request
+# in-memory recordings: replayed as they are, written to a file on request
 # --------------------------------------------------------------------------- #
 class TestMemoryTrace:
     SPECS = {
@@ -1020,10 +1114,10 @@ class TestMemoryTrace:
     @pytest.fixture(scope="class", params=sorted(SPECS))
     def recorded(self, request, tmp_path_factory):
         spec = self.SPECS[request.param]
-        trace = MemoryTrace()
-        live = stable_json_dumps(api.execute(spec, record_to=trace).reports())
         path = tmp_path_factory.mktemp("memory") / f"{request.param}.pastatrace"
-        trace.save(path)  # before any replay could touch the events
+        trace = MemoryTrace(save_to=path)  # written while it records
+        live = stable_json_dumps(api.execute(spec, record_to=trace).reports())
+        assert trace.path is None  # replays read the events in memory
         return spec, trace, path, live
 
     def test_replay_matches_the_saved_file_and_the_live_run(self, recorded):
@@ -1227,6 +1321,19 @@ class TestCampaignReplayMode:
         # A retry that kept the failed attempt's events would double counts.
         kernel_frequency = replayed.outcomes[0].record["reports"]["kernel_frequency"]
         assert kernel_frequency == simulated.outcomes[0].record["reports"]["kernel_frequency"]
+
+    def test_a_torn_trace_is_overwritten_by_the_retried_recording(self, tmp_path):
+        tear = FaultRule(site="trace.write", kind="torn_write", after=1)
+        with faults_scope(FaultInjector(FaultPlan(rules=(tear,)))):
+            result = CampaignScheduler(retries=1, trace_dir=tmp_path / "traces").run(
+                CampaignSpec(**self.GRID, execution="replay"))
+        assert [outcome.status for outcome in result.outcomes] == ["ok", "ok"]
+        for outcome in result.outcomes:
+            assert outcome.attempts == 2
+            assert "injected torn write" in outcome.errors[0]["error"]
+        [trace] = (tmp_path / "traces").glob("*.pastatrace")
+        reader = TraceReader(trace)
+        assert reader.verify() and reader.footer.complete
 
     def test_exhausted_recording_reports_the_backoff_it_slept_once(self, monkeypatch):
         naps = []

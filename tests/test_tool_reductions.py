@@ -1,12 +1,13 @@
 """Vectorised tool reductions against their per-element loop references.
 
 The fine-grained tools reduce numpy batch columns with array operations
-(``np.unique``, ``np.count_nonzero``, ``sum(axis=1)``).  The classes below
-keep the per-element loops those reductions replaced, run over the same
-records as Python scalars, and every report must come out byte-identical:
-on a real gpt2 fine-grained run and on synthetic batches chosen for the
-edge cases (empty, one record, duplicate addresses, mixed access widths,
-addresses on both sides of a 2 MB block boundary).
+(``np.unique``, ``np.sort``, ``np.count_nonzero``, ``sum(axis=1)``).  The
+classes below keep the per-element loops those reductions replaced, run
+over the same records as Python scalars, and every report must come out
+byte-identical: on a real gpt2 fine-grained run and on synthetic batches
+chosen for the edge cases (empty, one record, duplicate addresses, mixed
+access widths, addresses on both sides of a 2 MB block boundary, unsorted
+addresses over several blocks).
 """
 
 from __future__ import annotations
@@ -236,6 +237,11 @@ SYNTHETIC = {
         {"sizes": [8, 4, 4, 8, 4]},
         (InstructionKind.BLOCK_EXIT,) * 2,
     ),
+    "unsorted_addresses_over_several_blocks": (
+        [_BOUNDARY + 8, 2 * UVM_PAGE_BYTES, _BOUNDARY - 8, 0x40, _BOUNDARY, 2 * UVM_PAGE_BYTES + 4],
+        {},
+        (InstructionKind.BLOCK_ENTRY,),
+    ),
 }
 
 
@@ -260,9 +266,10 @@ def _deliver(tool, launches):
         ))
 
 
-#: 36 launches, so four windows of ten; the last launch alone touches its
-#: block, whose activity ratio of 1/4 sits on the default bursty threshold.
-SEVERAL_WINDOWS = list(SYNTHETIC.values()) * 7 + [([64 * UVM_PAGE_BYTES], {}, ())]
+#: 37 launches, so four windows of ten (the last one short); the last launch
+#: alone touches its block, whose activity ratio of 1/4 sits on the default
+#: bursty threshold.
+SEVERAL_WINDOWS = list(SYNTHETIC.values()) * 6 + [([64 * UVM_PAGE_BYTES], {}, ())]
 
 
 @pytest.mark.parametrize(
