@@ -7,7 +7,9 @@ matter for the paper:
 
 * A single driver-level memory object contains many tensors with different
   lifetimes — the object/tensor granularity mismatch behind the UVM prefetch
-  study (Section V-C1, Figures 11/12).
+  study (Section V-C1, Figures 11/12).  Segments are plain ``malloc`` device
+  memory; the study reads the object and tensor ranges from the profiled
+  events and replays them against the UVM model on its own.
 * Memory-usage timelines must be reconstructed from framework callbacks
   (``c10::reportMemoryUsage``-style), not from ``cudaMalloc`` events, because
   most tensor allocations never reach the driver (Figures 14/15).
@@ -239,23 +241,18 @@ class CachingAllocator:
     Parameters
     ----------
     runtime:
-        Runtime whose ``malloc``/``malloc_managed`` provides pool segments.
+        Runtime whose ``malloc`` provides pool segments.
     profile:
         Backend-specific sizing behaviour.
-    use_managed_memory:
-        Allocate segments with ``malloc_managed`` so they participate in UVM
-        paging (the configuration used by the prefetching study).
     """
 
     def __init__(
         self,
         runtime: AcceleratorRuntime,
         profile: AllocatorProfile = CUDA_ALLOCATOR_PROFILE,
-        use_managed_memory: bool = False,
     ) -> None:
         self.runtime = runtime
         self.profile = profile
-        self.use_managed_memory = use_managed_memory
         self.segments: list[Segment] = []
         self.stats = AllocatorStats()
         self._callbacks: list[MemoryUsageCallback] = []
@@ -306,11 +303,7 @@ class CachingAllocator:
             segment_bytes = self.profile.small_segment_bytes
         else:
             segment_bytes = max(self.profile.large_segment_bytes, round_size(min_bytes))
-        tag = f"{self.profile.name}_pool_{pool}"
-        if self.use_managed_memory:
-            obj = self.runtime.malloc_managed(segment_bytes, tag=tag)
-        else:
-            obj = self.runtime.malloc(segment_bytes, tag=tag)
+        obj = self.runtime.malloc(segment_bytes, tag=f"{self.profile.name}_pool_{pool}")
         segment = Segment(memory_object=obj, pool=pool)
         segment.head = Block(segment=segment, offset=0, size=obj.size, free=True)
         self._free_blocks[pool].add(segment.head)

@@ -10,6 +10,10 @@ observes about a DL workload flows through this object:
 * operator start/end → callback registry → framework events,
 * kernel launches / memcpys / syncs → runtime → vendor backends → low-level
   events.
+
+The context's memory is ordinary device memory, so nothing pages while a
+workload runs; the UVM prefetching study replays the profiled kernel schedule
+afterwards (:mod:`repro.tools.uvm_prefetch`).
 """
 
 from __future__ import annotations
@@ -86,24 +90,16 @@ class FrameworkContext:
         Simulated runtime to execute on.
     backend:
         Lowering behaviour; defaults to the backend matching the runtime vendor.
-    use_managed_memory:
-        Allocate pool segments from unified (managed) memory so UVM paging
-        applies — the configuration used by the prefetching experiments.
     """
 
     def __init__(
         self,
         runtime: AcceleratorRuntime,
         backend: Optional[BackendProfile] = None,
-        use_managed_memory: bool = False,
     ) -> None:
         self.runtime = runtime
         self.backend = backend or backend_for_device(runtime.device.spec)
-        self.allocator = CachingAllocator(
-            runtime,
-            profile=self.backend.allocator_profile,
-            use_managed_memory=use_managed_memory,
-        )
+        self.allocator = CachingAllocator(runtime, profile=self.backend.allocator_profile)
         self.callbacks = FrameworkCallbackRegistry()
         self.allocator.register_callback(self.callbacks.emit_memory)
         #: Stack of module scope names (outermost first), e.g.

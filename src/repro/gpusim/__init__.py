@@ -1,8 +1,10 @@
 """Simulated GPU substrate: devices, memory, kernels, streams, UVM, runtimes.
 
 This package stands in for the physical NVIDIA/AMD GPUs and their CUDA/HIP
-runtimes used in the paper's evaluation.  See ``DESIGN.md`` for the mapping
-between paper dependencies and simulated components.
+runtimes used in the paper's evaluation.  The runtimes allocate device memory
+and run every kernel on one default stream; the UVM model
+(:class:`UvmManager`) is driven only by the prefetching study's executor,
+:class:`repro.tools.UvmPrefetchExecutor`.
 """
 
 from repro.gpusim.costmodel import (
@@ -43,7 +45,7 @@ from repro.gpusim.runtime import (
     SyncRecord,
     create_runtime,
 )
-from repro.gpusim.stream import DEFAULT_STREAM_ID, GpuEvent, Stream, StreamManager
+from repro.gpusim.stream import DEFAULT_STREAM_ID, Stream, StreamManager
 from repro.gpusim.trace import (
     AnalysisModel,
     DEFAULT_TRACE_BUFFER_BYTES,
@@ -51,7 +53,7 @@ from repro.gpusim.trace import (
     TraceBuffer,
     TraceBufferStats,
 )
-from repro.gpusim.uvm import UVM_PAGE_BYTES, ManagedRegion, UvmConfig, UvmManager, UvmStats
+from repro.gpusim.uvm import UVM_PAGE_BYTES, UvmConfig, UvmManager, UvmStats
 
 __all__ = [
     "A100",
@@ -67,7 +69,6 @@ __all__ = [
     "Dim3",
     "GiB",
     "GpuDevice",
-    "GpuEvent",
     "GridConfig",
     "HipRuntime",
     "InjectionMethod",
@@ -75,7 +76,6 @@ __all__ = [
     "InstrumentationBackend",
     "KernelArgument",
     "KernelLaunch",
-    "ManagedRegion",
     "MemcpyKind",
     "MemcpyRecord",
     "MemoryKind",

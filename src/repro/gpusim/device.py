@@ -153,12 +153,6 @@ BUILTIN_DEVICE_SPECS: dict[str, DeviceSpec] = {
 #: Short-name aliases accepted alongside the canonical names above.
 DEVICE_ALIASES: dict[str, str] = {"3060": "rtx3060"}
 
-# Kept for backward compatibility with callers that peeked at the old ad-hoc
-# mapping; the registry namespace is the authoritative view.
-_KNOWN_SPECS = {**BUILTIN_DEVICE_SPECS,
-                **{alias: BUILTIN_DEVICE_SPECS[t] for alias, t in DEVICE_ALIASES.items()}}
-
-
 def get_device_spec(name: str) -> DeviceSpec:
     """Look up a :class:`DeviceSpec` by short name in the device registry.
 

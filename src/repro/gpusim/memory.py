@@ -1,8 +1,10 @@
 """Device memory objects and the driver-level allocator.
 
-This models the memory layer that ``cudaMalloc`` / ``hipMalloc`` (and their
-managed-memory variants) operate on.  Allocations are *memory objects*: a
-contiguous virtual address range with a size, a device, and a liveness flag.
+This models the memory layer that ``cudaMalloc`` / ``hipMalloc`` operate on.
+Allocations are *memory objects*: a contiguous virtual address range with a
+size, a device, and a liveness flag.  All of them are device memory and count
+against the device's capacity; managed (UVM) memory is modelled only by
+:mod:`repro.gpusim.uvm`, which the prefetching study drives on its own.
 The DL framework substrate's caching allocator requests large memory objects
 from this layer and sub-divides them into tensors, exactly mirroring how
 PyTorch's pool allocator sits on top of ``cudaMalloc`` (Section V-C1 of the
@@ -29,8 +31,6 @@ class MemoryKind(str, Enum):
     """How a memory object was allocated."""
 
     DEVICE = "device"          #: ordinary device memory (cudaMalloc)
-    MANAGED = "managed"        #: unified virtual memory (cudaMallocManaged)
-    HOST_PINNED = "host_pinned"  #: pinned host memory (cudaMallocHost)
 
 
 _object_ids = itertools.count(1)
@@ -113,9 +113,7 @@ class DeviceMemoryAllocator:
     Virtual addresses are never reused within a run (freed ranges remain
     retired), which keeps address→object attribution unambiguous for the
     analyses while still enforcing the device's physical capacity limit for
-    *live* bytes.  Managed (UVM) allocations are tracked but do not count
-    against device capacity at allocation time — their residency is governed by
-    the UVM manager in :mod:`repro.gpusim.uvm`.
+    *live* bytes.
     """
 
     def __init__(self, device: GpuDevice) -> None:
@@ -132,34 +130,27 @@ class DeviceMemoryAllocator:
     # ------------------------------------------------------------------ #
     # allocation / deallocation
     # ------------------------------------------------------------------ #
-    def allocate(
-        self,
-        nbytes: int,
-        kind: MemoryKind = MemoryKind.DEVICE,
-        tag: str = "",
-    ) -> MemoryObject:
+    def allocate(self, nbytes: int, tag: str = "") -> MemoryObject:
         """Allocate ``nbytes`` (rounded up to the allocation granularity).
 
         Raises
         ------
         OutOfMemoryError
-            If the allocation is device-resident and would exceed the device's
-            usable capacity.
+            If the allocation would exceed the device's usable capacity.
         """
         size = align_up(int(nbytes))
-        if kind is MemoryKind.DEVICE:
-            if self._live_device_bytes + size > self.device.usable_memory_bytes:
-                raise OutOfMemoryError(
-                    f"device {self.device.index} out of memory: requested {size} bytes, "
-                    f"{self.device.usable_memory_bytes - self._live_device_bytes} available"
-                )
-            self._live_device_bytes += size
-            self._peak_device_bytes = max(self._peak_device_bytes, self._live_device_bytes)
+        if self._live_device_bytes + size > self.device.usable_memory_bytes:
+            raise OutOfMemoryError(
+                f"device {self.device.index} out of memory: requested {size} bytes, "
+                f"{self.device.usable_memory_bytes - self._live_device_bytes} available"
+            )
+        self._live_device_bytes += size
+        self._peak_device_bytes = max(self._peak_device_bytes, self._live_device_bytes)
 
         obj = MemoryObject(
             address=self._next_address,
             size=size,
-            kind=kind,
+            kind=MemoryKind.DEVICE,
             device_index=self.device.index,
             tag=tag,
             alloc_time_ns=self.device.now(),
@@ -189,8 +180,7 @@ class DeviceMemoryAllocator:
             raise InvalidAddressError(f"double free of memory object {obj.object_id}")
         stored.live = False
         stored.free_time_ns = self.device.now()
-        if stored.kind is MemoryKind.DEVICE:
-            self._live_device_bytes -= stored.size
+        self._live_device_bytes -= stored.size
         self.free_count += 1
 
     def free_by_address(self, address: int) -> MemoryObject:
@@ -236,18 +226,13 @@ class DeviceMemoryAllocator:
 
     @property
     def live_bytes(self) -> int:
-        """Bytes of live device-resident (non-managed) memory."""
+        """Bytes of live device memory."""
         return self._live_device_bytes
 
     @property
     def peak_bytes(self) -> int:
         """Peak of :attr:`live_bytes` over the run."""
         return self._peak_device_bytes
-
-    @property
-    def live_managed_bytes(self) -> int:
-        """Bytes of live managed (UVM) memory."""
-        return sum(o.size for o in self._objects.values() if o.live and o.kind is MemoryKind.MANAGED)
 
     def footprint_bytes(self) -> int:
         """Total bytes ever allocated (live + freed), i.e. the memory footprint."""

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.errors import DeviceError
 from repro.gpusim.device import DeviceSpec
@@ -74,18 +74,10 @@ class ProcessModel:
 class DeviceSet:
     """A group of simulated GPUs used by one multi-GPU job."""
 
-    def __init__(
-        self,
-        specs: Sequence[DeviceSpec],
-        enable_uvm: bool = False,
-        uvm_capacity_bytes: Optional[int] = None,
-    ) -> None:
+    def __init__(self, specs: Sequence[DeviceSpec]) -> None:
         if not specs:
             raise DeviceError("a DeviceSet needs at least one device")
-        self.runtimes: list[AcceleratorRuntime] = [
-            create_runtime(spec, enable_uvm=enable_uvm, uvm_capacity_bytes=uvm_capacity_bytes)
-            for spec in specs
-        ]
+        self.runtimes: list[AcceleratorRuntime] = [create_runtime(spec) for spec in specs]
 
     def __len__(self) -> int:
         return len(self.runtimes)

@@ -14,6 +14,11 @@ profiling backends interact with:
 (:class:`AcceleratorRuntime`); they differ only in vendor identity and the API
 naming reported in events, which is exactly the difference PASTA's event
 handler has to normalise away.
+
+Every allocation is ordinary device memory and all work runs on the device's
+one default stream; nothing pages.  The UVM prefetching study replays a
+profiled kernel schedule against :class:`~repro.gpusim.uvm.UvmManager`
+instead (see :mod:`repro.tools.uvm_prefetch`).
 """
 
 from __future__ import annotations
@@ -25,9 +30,8 @@ from typing import Optional, Sequence
 from repro.errors import DeviceError
 from repro.gpusim.device import DeviceSpec, GpuDevice, Vendor
 from repro.gpusim.kernel import GridConfig, KernelArgument, KernelLaunch
-from repro.gpusim.memory import DeviceMemoryAllocator, MemoryKind, MemoryObject
+from repro.gpusim.memory import DeviceMemoryAllocator, MemoryObject
 from repro.gpusim.stream import DEFAULT_STREAM_ID, StreamManager
-from repro.gpusim.uvm import UvmManager
 
 
 class MemcpyKind(str, Enum):
@@ -105,35 +109,15 @@ class RuntimeCallbacks:
 
 
 class AcceleratorRuntime:
-    """Shared implementation of the CUDA/HIP-style runtime API.
-
-    Parameters
-    ----------
-    spec:
-        The device to instantiate.
-    enable_uvm:
-        Whether to create a :class:`~repro.gpusim.uvm.UvmManager` so
-        ``malloc_managed`` allocations page in/out.
-    uvm_capacity_bytes:
-        Optional cap on device memory available to managed pages (used to
-        force oversubscription without 80 GB of simulated tensors).
-    """
+    """Shared implementation of the CUDA/HIP-style runtime API on the device ``spec``."""
 
     #: API-name prefix used in emitted runtime-API events ("cuda" or "hip").
     api_prefix = "cuda"
 
-    def __init__(
-        self,
-        spec: DeviceSpec,
-        enable_uvm: bool = False,
-        uvm_capacity_bytes: Optional[int] = None,
-    ) -> None:
+    def __init__(self, spec: DeviceSpec) -> None:
         self.device = GpuDevice(spec=spec)
         self.allocator = DeviceMemoryAllocator(self.device)
         self.streams = StreamManager(self.device)
-        self.uvm: Optional[UvmManager] = None
-        if enable_uvm:
-            self.uvm = UvmManager(self.device, device_capacity_bytes=uvm_capacity_bytes)
         self._subscribers: list[RuntimeCallbacks] = []
         self.kernel_launches: list[KernelLaunch] = []
         self.memcpy_records: list[MemcpyRecord] = []
@@ -172,16 +156,7 @@ class AcceleratorRuntime:
     def malloc(self, nbytes: int, tag: str = "") -> MemoryObject:
         """``cudaMalloc`` / ``hipMalloc``: allocate device memory."""
         self._count_api("Malloc")
-        obj = self.allocator.allocate(nbytes, MemoryKind.DEVICE, tag=tag)
-        self._notify("on_memory_alloc", obj)
-        return obj
-
-    def malloc_managed(self, nbytes: int, tag: str = "") -> MemoryObject:
-        """``cudaMallocManaged`` / ``hipMallocManaged``: allocate unified memory."""
-        self._count_api("MallocManaged")
-        obj = self.allocator.allocate(nbytes, MemoryKind.MANAGED, tag=tag)
-        if self.uvm is not None:
-            self.uvm.register_region(obj.address, obj.size, label=tag or f"object-{obj.object_id}")
+        obj = self.allocator.allocate(nbytes, tag=tag)
         self._notify("on_memory_alloc", obj)
         return obj
 
@@ -280,15 +255,6 @@ class AcceleratorRuntime:
             op_context=op_context,
         )
         self._notify("on_kernel_launch_begin", launch)
-        # UVM pages referenced by the kernel fault in during execution.
-        if self.uvm is not None:
-            extra = 0.0
-            for arg in launch.accessed_arguments():
-                if self.uvm.is_managed_address(arg.address):
-                    extra += self.uvm.access_range(arg.address, arg.referenced_bytes)
-            if extra > 0:
-                launch.duration_ns += int(extra)
-                stream.tail_time_ns += int(extra)
         self.kernel_launches.append(launch)
         self._notify("on_kernel_launch_end", launch)
         return launch
@@ -323,10 +289,10 @@ class CudaRuntime(AcceleratorRuntime):
 
     api_prefix = "cuda"
 
-    def __init__(self, spec: DeviceSpec, **kwargs: object) -> None:
+    def __init__(self, spec: DeviceSpec) -> None:
         if spec.vendor is not Vendor.NVIDIA:
             raise DeviceError(f"CudaRuntime requires an NVIDIA device, got {spec.name!r}")
-        super().__init__(spec, **kwargs)  # type: ignore[arg-type]
+        super().__init__(spec)
 
 
 class HipRuntime(AcceleratorRuntime):
@@ -334,14 +300,14 @@ class HipRuntime(AcceleratorRuntime):
 
     api_prefix = "hip"
 
-    def __init__(self, spec: DeviceSpec, **kwargs: object) -> None:
+    def __init__(self, spec: DeviceSpec) -> None:
         if spec.vendor is not Vendor.AMD:
             raise DeviceError(f"HipRuntime requires an AMD device, got {spec.name!r}")
-        super().__init__(spec, **kwargs)  # type: ignore[arg-type]
+        super().__init__(spec)
 
 
-def create_runtime(spec: DeviceSpec, **kwargs: object) -> AcceleratorRuntime:
+def create_runtime(spec: DeviceSpec) -> AcceleratorRuntime:
     """Instantiate the vendor-appropriate runtime for ``spec``."""
     if spec.vendor is Vendor.NVIDIA:
-        return CudaRuntime(spec, **kwargs)
-    return HipRuntime(spec, **kwargs)
+        return CudaRuntime(spec)
+    return HipRuntime(spec)

@@ -196,10 +196,3 @@ class TestBackendProfiles:
             for _ in range(12):
                 allocator.allocate_tensor((2 * MiB,), dtype=DType.INT8)
         assert hip_alloc.stats.segment_count >= cuda_alloc.stats.segment_count
-
-    def test_managed_memory_mode_registers_segments_with_uvm(self):
-        runtime = create_runtime(A100, enable_uvm=True)
-        allocator = CachingAllocator(runtime, use_managed_memory=True)
-        t = allocator.allocate_tensor((4 * MiB,), dtype=DType.INT8)
-        assert runtime.uvm is not None
-        assert runtime.uvm.is_managed_address(t.address)

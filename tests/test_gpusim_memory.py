@@ -58,12 +58,6 @@ class TestAllocation:
         with pytest.raises(OutOfMemoryError):
             allocator.allocate(RTX3060.memory_bytes + MiB)
 
-    def test_managed_allocations_do_not_count_against_device_capacity(self, allocator):
-        obj = allocator.allocate(RTX3060.memory_bytes * 2, kind=MemoryKind.MANAGED)
-        assert obj.kind is MemoryKind.MANAGED
-        assert allocator.live_bytes == 0
-        assert allocator.live_managed_bytes == obj.size
-
     def test_footprint_includes_freed_objects(self, allocator):
         a = allocator.allocate(MiB)
         allocator.free(a)

@@ -5,8 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import DeviceError
-from repro.gpusim.device import A100, MI300X, MiB, RTX3060
-from repro.gpusim.kernel import GridConfig, KernelArgument
+from repro.gpusim.device import A100, MI300X, MiB
+from repro.gpusim.kernel import GridConfig
 from repro.gpusim.runtime import (
     CudaRuntime,
     HipRuntime,
@@ -73,12 +73,6 @@ class TestMemoryApis:
         a100_runtime.free(obj)
         assert not obj.live
 
-    def test_malloc_managed_registers_with_uvm(self):
-        rt = create_runtime(RTX3060, enable_uvm=True)
-        obj = rt.malloc_managed(8 * MiB)
-        assert rt.uvm is not None
-        assert rt.uvm.is_managed_address(obj.address)
-
     def test_api_call_counting(self, a100_runtime):
         a100_runtime.malloc(4096)
         a100_runtime.malloc(4096)
@@ -108,15 +102,6 @@ class TestKernelLaunch:
         assert launch2.start_time_ns >= launch1.end_time_ns
         assert a100_runtime.kernel_launches == [launch1, launch2]
         assert a100_runtime.total_kernel_time_ns() == 200
-
-    def test_launch_with_managed_memory_adds_fault_time(self):
-        rt = create_runtime(RTX3060, enable_uvm=True)
-        obj = rt.malloc_managed(32 * MiB)
-        arg = KernelArgument(address=obj.address, size=obj.size, accesses_per_byte=0.1)
-        launch = rt.launch_kernel("uvm_kernel", GridConfig.for_elements(1024),
-                                  arguments=[arg], duration_ns=10_000)
-        assert launch.duration_ns > 10_000
-        assert rt.uvm.stats.page_faults > 0
 
     def test_synchronize_advances_past_kernel_completion(self, a100_runtime):
         a100_runtime.launch_kernel("k", GridConfig.for_elements(64), duration_ns=123_456)

@@ -34,44 +34,12 @@ class TestStreams:
         with pytest.raises(StreamError):
             streams.get_stream().enqueue(0, -1)
 
-    def test_create_and_destroy_stream(self, streams):
-        stream = streams.create_stream()
-        assert stream.stream_id != DEFAULT_STREAM_ID
-        streams.destroy_stream(stream.stream_id)
-        with pytest.raises(StreamError):
-            streams.get_stream(stream.stream_id)
-
-    def test_default_stream_cannot_be_destroyed(self, streams):
-        with pytest.raises(StreamError):
-            streams.destroy_stream(DEFAULT_STREAM_ID)
-
     def test_stream_synchronize_advances_clock(self, streams):
         stream = streams.get_stream()
         stream.enqueue(0, 5_000)
         now = streams.synchronize_stream()
         assert now >= 5_000
         assert streams.device.now() == now
-
-    def test_device_synchronize_waits_for_all_streams(self, streams):
-        other = streams.create_stream()
-        streams.get_stream().enqueue(0, 1_000)
-        other.enqueue(0, 9_000)
-        now = streams.synchronize_device()
-        assert now >= 9_000
-
-    def test_events_measure_elapsed_time(self, streams):
-        start = streams.create_event()
-        end = streams.create_event()
-        streams.record_event(start)
-        streams.get_stream().enqueue(streams.device.now(), 7_000)
-        streams.record_event(end)
-        assert streams.elapsed_ns(start, end) == 7_000
-
-    def test_unrecorded_event_elapsed_raises(self, streams):
-        start = streams.create_event()
-        end = streams.create_event()
-        with pytest.raises(StreamError):
-            streams.elapsed_ns(start, end)
 
 
 class TestTraceBuffer:

@@ -20,27 +20,10 @@ class TestRegions:
         uvm.register_region(0x1000_0000, 10 * MiB)
         uvm.register_region(0x2000_0000, 6 * MiB)
         assert uvm.managed_bytes == 16 * MiB
-        assert uvm.is_managed_address(0x1000_0000 + MiB)
-        assert not uvm.is_managed_address(0x3000_0000)
 
     def test_register_rejects_empty_region(self):
         with pytest.raises(UvmError):
             make_uvm().register_region(0x1000, 0)
-
-    def test_unregister_drops_residency(self):
-        uvm = make_uvm()
-        region = uvm.register_region(0x1000_0000, 4 * MiB)
-        uvm.access_range(region.address, region.size)
-        assert uvm.resident_pages > 0
-        uvm.unregister_region(region)
-        assert uvm.resident_pages == 0
-
-    def test_unregister_unknown_region_raises(self):
-        uvm = make_uvm()
-        region = uvm.register_region(0x1000_0000, 4 * MiB)
-        uvm.unregister_region(region)
-        with pytest.raises(UvmError):
-            uvm.unregister_region(region)
 
     def test_oversubscription_factor(self):
         uvm = make_uvm(capacity_pages=4)  # 8 MiB capacity
@@ -124,59 +107,37 @@ class TestPrefetchAndPinning:
         pressured = tight.prefetch_range(0x1000_0000, 8 * MiB)
         assert pressured > cheap
 
-    def test_pinned_pages_survive_eviction(self):
-        uvm = make_uvm(capacity_pages=4)
-        hot = 0x1000_0000
-        cold = 0x2000_0000
-        uvm.register_region(hot, 4 * MiB)
-        uvm.register_region(cold, 32 * MiB)
-        uvm.prefetch_range(hot, 4 * MiB)
-        uvm.advise_pin(hot, 4 * MiB)
-        uvm.access_range(cold, 32 * MiB)
-        assert uvm.is_resident(hot)
 
-    def test_unpin_allows_eviction(self):
-        uvm = make_uvm(capacity_pages=2)
-        hot, cold = 0x1000_0000, 0x2000_0000
-        uvm.register_region(hot, 4 * MiB)
-        uvm.register_region(cold, 32 * MiB)
-        uvm.prefetch_range(hot, 4 * MiB)
-        uvm.advise_pin(hot, 4 * MiB)
-        uvm.advise_unpin(hot, 4 * MiB)
-        uvm.access_range(cold, 32 * MiB)
-        assert not uvm.is_resident(hot)
+class TestOwnRangeIsNeverEvicted:
+    """Making room for a range's missing pages evicts only pages outside it.
 
-    def test_explicit_evict_range(self):
-        uvm = make_uvm()
-        base = 0x1000_0000
-        uvm.register_region(base, 4 * MiB)
-        uvm.prefetch_range(base, 4 * MiB)
-        cost = uvm.evict_range(base, 4 * MiB)
-        assert cost >= 0.0
-        assert not uvm.is_resident(base)
+    Three pages of capacity hold pages 1, 0 and 5 (least recent first); the
+    range covers pages 0-2, so only page 2 comes in and page 5 must go.
+    """
 
-    def test_reset_residency(self):
-        uvm = make_uvm()
-        base = 0x1000_0000
-        uvm.register_region(base, 4 * MiB)
-        uvm.access_range(base, 4 * MiB)
-        uvm.reset_residency()
-        assert uvm.resident_pages == 0
-        assert uvm.stats.page_faults == 0
+    @staticmethod
+    def lru_1_0_5() -> UvmManager:
+        uvm = make_uvm(capacity_pages=3)
+        for page in (1, 0, 5):
+            uvm.access_range(page * UVM_PAGE_BYTES, UVM_PAGE_BYTES)
+        return uvm
+
+    def test_access(self):
+        uvm = self.lru_1_0_5()
+        uvm.access_range(0, 3 * UVM_PAGE_BYTES)
+        assert uvm.stats.pages_evicted == 1
+        assert uvm.stats.pages_migrated_on_fault == 4
+        assert uvm.access_range(0, 3 * UVM_PAGE_BYTES) == 0.0
+
+    def test_prefetch(self):
+        uvm = self.lru_1_0_5()
+        uvm.prefetch_range(0, 3 * UVM_PAGE_BYTES)
+        assert uvm.stats.pages_evicted == 1
+        assert uvm.stats.pages_prefetched == 1
+        assert uvm.access_range(0, 3 * UVM_PAGE_BYTES) == 0.0
 
 
 class TestHelpers:
-    def test_pages_for_ranges(self):
-        uvm = make_uvm()
-        pages = uvm.pages_for_ranges([(0, UVM_PAGE_BYTES), (UVM_PAGE_BYTES, UVM_PAGE_BYTES)])
-        assert len(pages) == 2
-
     def test_capacity_must_be_positive(self):
         with pytest.raises(UvmError):
             UvmManager(GpuDevice(spec=RTX3060), device_capacity_bytes=0)
-
-    def test_resident_bytes(self):
-        uvm = make_uvm()
-        uvm.register_region(0x1000_0000, 4 * MiB)
-        uvm.prefetch_range(0x1000_0000, 4 * MiB)
-        assert uvm.resident_bytes() == 2 * UVM_PAGE_BYTES

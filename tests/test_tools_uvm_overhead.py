@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.errors import ToolError
 from repro.core.events import KernelArgumentInfo, KernelLaunchEvent, MemoryAllocEvent
+from repro.core.serialization import stable_json_dumps
 from repro.gpusim.device import A100, RTX3060
 from repro.tools import (
     ANALYSIS_VARIANTS,
@@ -126,6 +129,34 @@ class TestUvmPrefetchExecutor:
         norm = executor.normalized_times(schedule)
         assert norm["none"] == pytest.approx(1.0)
         assert norm["tensor_level"] <= 1.0
+
+
+#: Digests of ``compare_policies`` on RTX 3060 (every ``UvmRunResult`` field
+#: of all three policies), by schedule and oversubscription factor.  The
+#: other tests here assert only orderings; these catch any drift in the UVM
+#: model's or the executor's numbers.
+COMPARE_POLICIES_DIGESTS = {
+    ("synthetic", 1.0): "7a1252b386897910",
+    ("synthetic", 3.0): "e187871cd9c4a435",
+    ("alexnet", 1.0): "4af90ca1d1360340",
+    ("alexnet", 3.0): "32b8e976a0363dba",
+}
+
+
+@pytest.fixture(scope="module")
+def alexnet_schedule():
+    return record_uvm_schedule("alexnet", device="rtx3060", batch_size=2)[0]
+
+
+@pytest.mark.parametrize("schedule_name, factor", sorted(COMPARE_POLICIES_DIGESTS))
+def test_compare_policies_matches_the_pinned_digest(schedule_name, factor, request):
+    if schedule_name == "synthetic":
+        schedule = synthetic_schedule()
+    else:
+        schedule = request.getfixturevalue("alexnet_schedule")
+    results = UvmPrefetchExecutor(RTX3060, oversubscription_factor=factor).compare_policies(schedule)
+    digest = hashlib.sha256(stable_json_dumps(results).encode()).hexdigest()[:16]
+    assert digest == COMPARE_POLICIES_DIGESTS[(schedule_name, factor)]
 
 
 class TestOverheadComparisonTool:
