@@ -8,9 +8,11 @@ contract against a ``pasta serve`` daemon's ``/v1/cache`` endpoints, so
 ``pasta campaign run --cache-url http://daemon:8080`` shares one
 content-addressed cache across machines.
 
-Deliberately stdlib-and-self-contained (``urllib`` against the wire
-protocol, no import of :mod:`repro.serve`): the campaign layer stays below
-the service layer, and a daemon is just another place bytes live.
+Requests go through :class:`repro.transport.HttpTransport`, the transport
+the serve client uses: one kept-alive connection per scheduler thread, no
+proxy environment variables consulted.  Nothing here imports
+:mod:`repro.serve`: the campaign layer stays below the service layer, and a
+daemon is just another place bytes live.
 
 Parity with the file store (asserted by the shared conformance test):
 
@@ -29,13 +31,12 @@ silently degrade every lookup into a miss and re-simulate the world.
 from __future__ import annotations
 
 import json
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.campaign.cache import CacheStats
 from repro.errors import ReproError
+from repro.transport import HttpTransport, ServeError
 
 
 @dataclass
@@ -52,34 +53,32 @@ class HttpResultCache:
             raise ReproError(
                 f"cache URL must start with http:// or https://, got {self.url!r}"
             )
+        self._transport = HttpTransport(self.url)
 
     # ------------------------------------------------------------------ #
     # transport
     # ------------------------------------------------------------------ #
-    def _open(self, method: str, digest: str, body: Optional[bytes] = None):
-        headers = {"Content-Type": "application/json"} if body is not None else {}
-        request = urllib.request.Request(
-            f"{self.url}/v1/cache/{digest}", data=body, method=method,
-            headers=headers,
-        )
-        return urllib.request.urlopen(request, timeout=self.timeout)
+    def _send(self, method: str, digest: str, body: Optional[bytes] = None) -> bytes:
+        try:
+            return self._transport.request(
+                method, f"/v1/cache/{digest}", body, timeout=self.timeout
+            )
+        except ServeError as error:
+            if error.code is None:
+                raise  # "cannot reach pasta daemon at ..."
+            raise ServeError(
+                f"cache daemon at {self.url} refused {method} {digest}: "
+                f"HTTP {error.code} ({error})", code=error.code,
+            ) from None
 
     def _fetch(self, digest: str) -> Optional[dict[str, object]]:
         """GET one entry; absent (404) and corrupt responses are ``None``."""
         try:
-            with self._open("GET", digest) as response:
-                raw = response.read()
-        except urllib.error.HTTPError as error:
+            raw = self._send("GET", digest)
+        except ServeError as error:
             if error.code == 404:
                 return None
-            raise ReproError(
-                f"cache daemon at {self.url} refused GET {digest}: "
-                f"HTTP {error.code}"
-            ) from None
-        except urllib.error.URLError as error:
-            raise ReproError(
-                f"cannot reach cache daemon at {self.url}: {error.reason}"
-            ) from None
+            raise
         try:
             record = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError):
@@ -102,19 +101,7 @@ class HttpResultCache:
 
     def put(self, digest: str, record: dict[str, object]) -> str:
         """Store ``record`` under ``digest`` on the daemon."""
-        body = json.dumps(record).encode("utf-8")
-        try:
-            with self._open("PUT", digest, body) as response:
-                response.read()
-        except urllib.error.HTTPError as error:
-            raise ReproError(
-                f"cache daemon at {self.url} refused PUT {digest}: "
-                f"HTTP {error.code}"
-            ) from None
-        except urllib.error.URLError as error:
-            raise ReproError(
-                f"cannot reach cache daemon at {self.url}: {error.reason}"
-            ) from None
+        self._send("PUT", digest, json.dumps(record).encode("utf-8"))
         self.stats.writes += 1
         return f"{self.url}/v1/cache/{digest}"
 

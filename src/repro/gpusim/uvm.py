@@ -199,6 +199,10 @@ class UvmManager:
         elapsed = 0.0
         if missing:
             elapsed += self._evict_lru(len(missing))
+            if len(pages) > self.capacity_pages:
+                # Making room evicted pages of this very range: they fault
+                # back in with the rest.
+                missing = [page for page in pages if page not in self._resident]
             # Faults are serviced in groups (the driver coalesces neighbouring
             # faults); charge one latency per group of up to 16 pages.
             groups = (len(missing) + 15) // 16

@@ -16,24 +16,24 @@ and the two ``reports()`` dicts are byte-identical for the same spec,
 because the daemon's campaign scheduler executes through the very same
 :func:`repro.api.runner.execute_payload` a local run uses.
 
-Everything here is stdlib (``urllib.request`` / ``http.client``); the wire
-format is the JSONL protocol of :mod:`repro.serve.protocol`.  Stream reads
-auto-resume: a :class:`JobHandle` tracks how many records it has consumed,
-so a dropped connection reconnects with ``?from=<cursor>`` and the caller
-never sees a duplicate or a gap.
+Everything here is stdlib: requests go through
+:class:`repro.transport.HttpTransport` (``http.client``, one kept-alive
+HTTP/1.1 connection per client thread, no proxy environment variables
+consulted), and the wire format is the JSONL protocol of
+:mod:`repro.serve.protocol`.  Stream reads auto-resume: a
+:class:`JobHandle` tracks how many records it has consumed, so a dropped
+connection reconnects with ``?from=<cursor>`` and the caller never sees a
+duplicate or a gap.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
-import socket
 import time
-import urllib.error
-import urllib.request
 from typing import Iterator, Mapping, Optional, Union
 
 from repro.api.builder import ProfileBuilder
-from repro.errors import ReproError
 from repro.serve.protocol import (
     DEFAULT_NAMESPACE,
     NAMESPACE_HEADER,
@@ -41,22 +41,10 @@ from repro.serve.protocol import (
     check_protocol,
     validate_namespace,
 )
+from repro.transport import HttpTransport, ServeError
 
 #: Seconds between reconnect attempts when a stream drops.
 _RETRY_BACKOFF_S = 0.2
-
-
-class ServeError(ReproError):
-    """A request the daemon rejected (or a transport failure talking to it).
-
-    ``code`` carries the HTTP-ish status from the server's ``error`` record
-    (400 bad spec, 404 unknown job, 429 quota, ...) or ``None`` for
-    transport-level failures.
-    """
-
-    def __init__(self, message: str, *, code: Optional[int] = None) -> None:
-        super().__init__(message)
-        self.code = code
 
 
 def _parse_line(line: bytes) -> dict[str, object]:
@@ -70,17 +58,9 @@ def _parse_line(line: bytes) -> dict[str, object]:
     return rec
 
 
-def _raise_for_error(rec: Mapping[str, object]) -> None:
-    if rec.get("type") == "error":
-        code = rec.get("code")
-        raise ServeError(
-            str(rec.get("error") or "daemon error"),
-            code=code if isinstance(code, int) else None,
-        )
-
-
 class ServeClient:
-    """One connection's worth of client state: base URL + namespace.
+    """A daemon's base URL and a namespace, reached over one kept-alive
+    connection per calling thread.
 
     Entry points: :meth:`profile` (the fluent remote builder),
     :meth:`submit` (a ready spec or dict), :meth:`job` (re-attach to an
@@ -107,6 +87,7 @@ class ServeClient:
         self.timeout = timeout
         self.stream_timeout = stream_timeout
         self.retries = retries
+        self._transport = HttpTransport(self.url, {NAMESPACE_HEADER: self.namespace})
 
     def __repr__(self) -> str:
         return f"ServeClient({self.url!r}, namespace={self.namespace!r})"
@@ -114,42 +95,6 @@ class ServeClient:
     # -------------------------------------------------------------- #
     # transport
     # -------------------------------------------------------------- #
-    def _open(
-        self,
-        method: str,
-        path: str,
-        body: Optional[Mapping[str, object]] = None,
-        timeout: Optional[float] = None,
-    ):
-        data = None
-        headers = {NAMESPACE_HEADER: self.namespace}
-        if body is not None:
-            data = json.dumps(body).encode("utf-8")
-            headers["Content-Type"] = "application/json"
-        request = urllib.request.Request(
-            self.url + path, data=data, method=method, headers=headers
-        )
-        try:
-            return urllib.request.urlopen(
-                request, timeout=self.timeout if timeout is None else timeout
-            )
-        except urllib.error.HTTPError as error:
-            # The daemon explains failures as JSONL error records in the body.
-            try:
-                rec = _parse_line(error.read().splitlines()[0])
-            except (ServeError, IndexError):
-                raise ServeError(
-                    f"{method} {path} failed: HTTP {error.code}", code=error.code
-                ) from None
-            _raise_for_error(rec)
-            raise ServeError(
-                f"{method} {path} failed: HTTP {error.code}", code=error.code
-            ) from None
-        except urllib.error.URLError as error:
-            raise ServeError(
-                f"cannot reach pasta daemon at {self.url}: {error.reason}"
-            ) from None
-
     def _request(
         self,
         method: str,
@@ -157,12 +102,9 @@ class ServeClient:
         body: Optional[Mapping[str, object]] = None,
     ) -> list[dict[str, object]]:
         """One unary request → the response's parsed records."""
-        with self._open(method, path, body) as response:
-            raw = response.read()
-        records = [_parse_line(line) for line in raw.splitlines() if line.strip()]
-        for rec in records:
-            _raise_for_error(rec)
-        return records
+        data = None if body is None else json.dumps(body).encode("utf-8")
+        raw = self._transport.request(method, path, data, timeout=self.timeout)
+        return [_parse_line(line) for line in raw.splitlines() if line.strip()]
 
     def _request_one(
         self,
@@ -253,33 +195,21 @@ class ServeClient:
         attempts = 0
         read_timeout = self.stream_timeout if timeout is None else timeout
         while True:
+            # A refused or unreachable request raises ServeError, which
+            # retries would not improve; only a broken read is resumed.
             try:
-                response = self._open(
-                    "GET",
-                    f"/v1/jobs/{job_id}/stream?from={cursor}",
-                    timeout=read_timeout,
-                )
-            except ServeError:
-                raise  # 404 / protocol errors don't improve with retries
-            try:
-                with response:
+                with self._transport.open(
+                    "GET", f"/v1/jobs/{job_id}/stream?from={cursor}", timeout=read_timeout
+                ) as response:
                     for line in response:
                         if not line.strip():
                             continue
                         rec = _parse_line(line)
-                        _raise_for_error(rec)
                         cursor += 1
                         attempts = 0
                         yield rec
                 return  # server closed the stream: job is terminal
-            except (
-                socket.timeout,
-                TimeoutError,
-                ConnectionResetError,
-                BrokenPipeError,
-                urllib.error.URLError,
-                OSError,
-            ) as error:
+            except (OSError, http.client.HTTPException) as error:
                 attempts += 1
                 if attempts > self.retries:
                     raise ServeError(

@@ -4,9 +4,17 @@
 ``ThreadingHTTPServer`` (one thread per connection, so a slow stream reader
 never blocks a submit).  Every response body is newline-delimited JSON from
 :mod:`repro.serve.protocol`, one :func:`repro.jsonl.line` per record; unary
-responses are sent with a ``Content-Length`` (keep-alive friendly), streams
-use chunked transfer encoding flushed per record so backpressure flows
-through the socket.
+responses are sent with a ``Content-Length``, streams use chunked transfer
+encoding with one write per record so backpressure flows through the
+socket.
+
+Connections are HTTP/1.1 and kept alive: a client thread sends all its
+requests over one connection.  So the daemon disables Nagle's algorithm
+(a response's second write would otherwise wait for the client's delayed
+ACK, about 40 ms), closes a connection whose request body it answered
+without reading (the leftover bytes would parse as the next request), and
+on :meth:`PastaDaemon.close` shuts every open connection down, so no
+handler thread outlives the daemon.
 
 Endpoints (all under ``/v1``):
 
@@ -39,6 +47,7 @@ from __future__ import annotations
 
 import json
 import re
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -66,6 +75,9 @@ class _ServeHandler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server_version = f"pasta-serve/{repro.__version__}"
+    disable_nagle_algorithm = True
+    #: True from a request's headers until its body has been read.
+    _unread_body = False
 
     # Set by _ServeServer for the benefit of type checkers.
     server: "_ServeServer"
@@ -100,6 +112,7 @@ class _ServeHandler(BaseHTTPRequestHandler):
                 f"{MAX_BODY_BYTES}-byte limit"
             )
         raw = self.rfile.read(length)
+        self._unread_body = False
         try:
             body = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as error:
@@ -107,6 +120,13 @@ class _ServeHandler(BaseHTTPRequestHandler):
         if not isinstance(body, dict):
             raise ReproError("request body must be a JSON object")
         return body
+
+    def end_headers(self) -> None:
+        if self._unread_body:
+            # Answered without reading the body: its bytes are still on the
+            # connection and would be parsed as the next request.
+            self.send_header("Connection", "close")
+        super().end_headers()
 
     def _send_lines(self, status: int, body: bytes) -> None:
         self.send_response(status)
@@ -125,12 +145,9 @@ class _ServeHandler(BaseHTTPRequestHandler):
         self.end_headers()
 
     def _write_chunk(self, data: bytes) -> None:
-        self.wfile.write(f"{len(data):x}\r\n".encode("ascii"))
-        if data:
-            self.wfile.write(data)
-        self.wfile.write(b"\r\n")
-        # Flush per record: the reader sees each line as it happens, and a
-        # slow reader throttles us through the socket instead of a buffer.
+        # One write per record: the reader sees each line as it happens, and
+        # a slow reader throttles us through the socket instead of a buffer.
+        self.wfile.write(b"%x\r\n%s\r\n" % (len(data), data))
         self.wfile.flush()
 
     # -------------------------------------------------------------- #
@@ -146,6 +163,10 @@ class _ServeHandler(BaseHTTPRequestHandler):
         self._dispatch("PUT")
 
     def _dispatch(self, method: str) -> None:
+        self._unread_body = (
+            self.headers.get("Content-Length", "0").strip() != "0"
+            or "Transfer-Encoding" in self.headers
+        )
         parts = urlsplit(self.path)
         path = parts.path.rstrip("/") or "/"
         params = parse_qs(parts.query)
@@ -285,16 +306,45 @@ class _ServeHandler(BaseHTTPRequestHandler):
 
 
 class _ServeServer(ThreadingHTTPServer):
-    daemon_threads = True  # connection threads die with the process
     allow_reuse_address = True
-    # The stdlib default listen backlog (5) drops connections under many
-    # concurrent clients reconnecting per request; SYNs beyond the backlog
-    # surface as resets under load.
+    # The stdlib default listen backlog (5) drops connections when many
+    # clients connect at once; SYNs beyond the backlog surface as resets.
     request_queue_size = 128
 
     def __init__(self, address: tuple[str, int], daemon: "PastaDaemon") -> None:
         super().__init__(address, _ServeHandler)
         self.daemon = daemon
+        #: Each open connection's handler thread.  A kept-alive connection's
+        #: thread idles until the client sends again or the daemon closes.
+        self._handlers: dict[socket.socket, threading.Thread] = {}
+        self._handlers_lock = threading.Lock()
+
+    def process_request(self, request, client_address) -> None:  # type: ignore[override]
+        # A daemon thread: a process that never closes the daemon still exits.
+        thread = threading.Thread(
+            target=self.process_request_thread, args=(request, client_address),
+            name="pasta-serve-connection", daemon=True,
+        )
+        with self._handlers_lock:
+            self._handlers[request] = thread
+        thread.start()
+
+    def shutdown_request(self, request) -> None:  # type: ignore[override]
+        with self._handlers_lock:
+            self._handlers.pop(request, None)
+        super().shutdown_request(request)
+
+    def shutdown_connections(self) -> list[threading.Thread]:
+        """End every open connection; returns their handler threads, which
+        return once they read the EOF (or fail their next write)."""
+        with self._handlers_lock:
+            handlers = dict(self._handlers)
+        for connection in handlers:
+            try:
+                connection.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # its handler closed it meanwhile
+        return list(handlers.values())
 
 
 class PastaDaemon:
@@ -351,16 +401,24 @@ class PastaDaemon:
         self._server.serve_forever()
 
     def close(self) -> None:
-        """Stop accepting requests and shut the worker pool down.
+        """Stop accepting requests, end every connection and shut the worker
+        pool down.
 
-        Queued jobs stay journaled and resume on the next daemon start.
+        Connections end before the job manager closes, so no kept-alive
+        client reaches a closed manager; the manager closes before the
+        handler threads are joined, so a handler following a stream
+        returns.  Queued jobs stay journaled and resume on the next daemon
+        start.
         """
         self._server.shutdown()
-        self._server.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5.0)
             self._thread = None
+        handlers = self._server.shutdown_connections()
         self.manager.close()
+        for thread in handlers:
+            thread.join(timeout=5.0)
+        self._server.server_close()
 
     def __enter__(self) -> "PastaDaemon":
         return self.start()

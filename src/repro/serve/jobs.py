@@ -36,6 +36,7 @@ import os
 import queue
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Optional, Union
@@ -233,6 +234,10 @@ class JobManager:
 
         self._jobs: dict[str, Job] = {}
         self._order: list[str] = []
+        #: Per-namespace job counts the quotas read: every job, and the
+        #: jobs not yet terminal.
+        self._total: Counter[str] = Counter()
+        self._inflight: Counter[str] = Counter()
         #: One condition guards the job table, event lists and counters;
         #: every append notifies all blocked streams.
         self._cond = threading.Condition()
@@ -270,8 +275,10 @@ class JobManager:
             cells, campaign = [ProfileSpec.from_dict(payload)], None
         elif kind == "campaign":
             campaign = CampaignSpec.from_dict(payload)
-            # Expansion validates every axis value early, so a bad grid is a
-            # 400 at submit time, not a failed job minutes later.
+            # Expansion builds every cell's ProfileSpec, which checks its
+            # mode, iterations, knob shapes and parallelism: a bad one is a
+            # 400 at submit time.  Model, device and tool names are not
+            # checked until the job runs, so an unknown one fails the job.
             cells = campaign.expand()
         else:
             raise ReproError(f"unknown job kind {kind!r}; expected {list(JOB_KINDS)}")
@@ -280,8 +287,7 @@ class JobManager:
 
     def _check_quotas(self, namespace: str) -> None:
         """Raise :class:`QuotaExceeded` when ``namespace`` is over budget."""
-        mine = [j for j in self._jobs.values() if j.namespace == namespace]
-        if self.quota_total is not None and len(mine) >= self.quota_total:
+        if self.quota_total is not None and self._total[namespace] >= self.quota_total:
             self.quota_rejections += 1
             raise QuotaExceeded(
                 f"namespace {namespace!r} reached its total submission quota "
@@ -289,7 +295,7 @@ class JobManager:
                 namespace=namespace, quota="total",
             )
         if self.quota_inflight is not None:
-            inflight = sum(1 for j in mine if not j.terminal)
+            inflight = self._inflight[namespace]
             if inflight >= self.quota_inflight:
                 self.quota_rejections += 1
                 raise QuotaExceeded(
@@ -357,6 +363,8 @@ class JobManager:
                 raise JournalError(f"could not journal the submission: {error}") from error
             self._jobs[job.id] = job
             self._order.append(job.id)
+            self._total[namespace] += 1
+            self._inflight[namespace] += 1
             self._emit_locked(job, self._job_event(job, "queued"))
         telemetry.counter("serve.jobs_submitted").inc()
         self._queue.put(job.id)
@@ -414,6 +422,10 @@ class JobManager:
                             jsonl.envelope("result", job_id=job.id, record=result)
                         )
                 job.events.append(self._job_event(job, "finished"))
+        with self._cond:
+            jobs = self._jobs.values()
+            self._total = Counter(job.namespace for job in jobs)
+            self._inflight = Counter(job.namespace for job in jobs if not job.terminal)
         for job_id in self._order:
             job = self._jobs[job_id]
             if not job.terminal:
@@ -614,6 +626,8 @@ class JobManager:
     def _finish_locked(
         self, job: Job, state: str, result: Optional[dict[str, object]] = None
     ) -> None:
+        if not job.terminal:
+            self._inflight[job.namespace] -= 1
         job.state = state
         job.finished_unix = round(time.time(), 6)
         job.parsed = None

@@ -137,6 +137,21 @@ class TestOwnRangeIsNeverEvicted:
         assert uvm.access_range(0, 3 * UVM_PAGE_BYTES) == 0.0
 
 
+class TestRangeLargerThanCapacity:
+    """A range with more pages than the capacity evicts its own resident
+    pages to make room; they fault back in, and are charged as refaults."""
+
+    def test_evicted_own_pages_refault(self):
+        uvm = make_uvm(capacity_pages=3)
+        for page in (0, 1):
+            uvm.access_range(page * UVM_PAGE_BYTES, UVM_PAGE_BYTES)
+        uvm.access_range(0, 5 * UVM_PAGE_BYTES)
+        assert uvm.stats.pages_migrated_on_fault == 2 + 5
+        assert uvm.stats.pages_evicted == 4
+        assert uvm.stats.refaults == 2
+        assert list(uvm._resident) == [2, 3, 4]
+
+
 class TestHelpers:
     def test_capacity_must_be_positive(self):
         with pytest.raises(UvmError):
