@@ -14,9 +14,13 @@ Times the end-to-end profiled workloads the fast-path work targets —
 plus ``--quick`` variants small enough for a CI smoke step, among them
 ``record_fine_gpt2_quick``: the ``fine_gpt2_quick`` run recording its trace
 (``record_to``) into a temporary directory, so the gate also covers the
-trace writer — and writes the results to ``BENCH_pipeline.json``.  Each entry holds the best wall time and
-the logical records processed (``records``, ``records_per_second``): a
-columnar batch counts its length, as in ``perfbench``.
+trace writer; and ``replay_grid_gpt2_quick``: a replay-mode campaign over
+that workload (two tool sets x both analysis models, no cache, no trace
+dir), so it covers the replay path — and writes the results to
+``BENCH_pipeline.json``.  Each entry holds the best wall time and the
+logical records processed (``records``, ``records_per_second``): a columnar
+batch counts its length, as in ``perfbench``, and a replay grid counts its
+recording and every cell's replay.
 
 Usage::
 
@@ -42,6 +46,7 @@ from pathlib import Path
 import repro
 import repro.tools  # noqa: F401  (side effect: tool registration)
 from repro import api
+from repro.campaign import CampaignScheduler, CampaignSpec
 from repro.core.processor import PastaEventProcessor
 
 #: Tool set attached to every benchmark workload: the bundled coarse tools
@@ -99,6 +104,15 @@ QUICK_WORKLOADS: dict[str, tuple[dict, int]] = {
              tools=list(COARSE_TOOLS)),
         3,
     ),
+    # A replay-mode CampaignScheduler run: one workload group, recorded once.
+    "replay_grid_gpt2_quick": (
+        dict(campaign=dict(
+            name="replay-grid", models=["gpt2"], modes=["train"], fine_grained=True,
+            tools=[list(FINE_TOOLS), ["access_histogram", "memory_characteristics"]],
+            analysis_models=["gpu_resident", "cpu_side"],
+        )),
+        3,
+    ),
 }
 
 
@@ -107,8 +121,26 @@ def logical_records(processor: PastaEventProcessor) -> int:
     return processor.events_processed - processor.batches_dispatched + processor.batch_records
 
 
-def run_one(name: str, kwargs: dict, repeats: int) -> dict[str, object]:
-    """Benchmark one workload; returns its result entry.
+def run_grid(grid: dict, repeats: int) -> tuple[float, int]:
+    """Best wall time of a replay-mode campaign over ``grid`` (no cache, no
+    trace dir), and the logical records of its recording and replays."""
+    spec = CampaignSpec(**grid)
+    best = float("inf")
+    for _ in range(repeats):
+        started = time.perf_counter()
+        run = CampaignScheduler(execution="replay").run(spec)
+        best = min(best, time.perf_counter() - started)
+        if run.failed or run.workloads_recorded != 1:
+            raise SystemExit(f"replay grid failed: {run.summary()}")
+    # What the recording saw, counted once outside the timing: the bare
+    # workload with no tools, as the group records it.
+    bare = spec.expand()[0].replace(tools=(), analysis_model="gpu_resident")
+    recorded = logical_records(api.execute(bare).session.processor)
+    return best, recorded * (1 + spec.job_count())
+
+
+def run_profile(kwargs: dict, repeats: int) -> tuple[float, int]:
+    """Best wall time of ``api.run(**kwargs)`` and its logical records.
 
     A ``record_to`` file name is written into a temporary directory.
     """
@@ -126,6 +158,16 @@ def run_one(name: str, kwargs: dict, repeats: int) -> dict[str, object]:
         # Parallel profiles run one session per rank; sum their pipelines.
         sessions = getattr(result, "sessions", None) or [result.session]
         records = sum(logical_records(s.processor) for s in sessions)
+    return best, records
+
+
+def run_one(name: str, kwargs: dict, repeats: int) -> dict[str, object]:
+    """Benchmark one workload (a ``campaign`` entry is a replay grid);
+    returns its result entry."""
+    if "campaign" in kwargs:
+        best, records = run_grid(kwargs["campaign"], repeats)
+    else:
+        best, records = run_profile(kwargs, repeats)
     entry = {
         "seconds": round(best, 4),
         "records": records,

@@ -69,7 +69,8 @@ def run_one(name: str, clients: int, requests: int) -> dict[str, object]:
         with PastaDaemon(data_dir, workers=4).start() as daemon:
             # Warm the digest so every benchmarked request is a pure cache
             # hit: the numbers measure the service, not the simulator.
-            warm = connect(daemon.url).submit(WARM_SPEC).result(timeout=300)
+            with connect(daemon.url) as client:
+                warm = client.submit(WARM_SPEC).result(timeout=300)
             assert warm.reports(), "warm-up run produced no reports"
 
             latencies: list[float] = []
@@ -79,20 +80,20 @@ def run_one(name: str, clients: int, requests: int) -> dict[str, object]:
             def client_loop(index: int) -> None:
                 # One namespace per client: quota accounting mirrors real
                 # multi-tenant use instead of piling onto one tenant.
-                client = connect(daemon.url, namespace=f"bench-{index}")
-                for _ in range(requests):
-                    started = time.perf_counter()
-                    try:
-                        result = client.submit(WARM_SPEC).result(timeout=60)
-                        if not result.cache_hit:
-                            raise AssertionError("expected a cache hit")
-                    except Exception as error:  # noqa: BLE001 - recorded, not raised
+                with connect(daemon.url, namespace=f"bench-{index}") as client:
+                    for _ in range(requests):
+                        started = time.perf_counter()
+                        try:
+                            result = client.submit(WARM_SPEC).result(timeout=60)
+                            if not result.cache_hit:
+                                raise AssertionError("expected a cache hit")
+                        except Exception as error:  # noqa: BLE001 - recorded, not raised
+                            with lock:
+                                errors.append(f"{type(error).__name__}: {error}")
+                            return
+                        elapsed = time.perf_counter() - started
                         with lock:
-                            errors.append(f"{type(error).__name__}: {error}")
-                        return
-                    elapsed = time.perf_counter() - started
-                    with lock:
-                        latencies.append(elapsed)
+                            latencies.append(elapsed)
 
             threads = [
                 threading.Thread(target=client_loop, args=(i,), daemon=True)

@@ -34,53 +34,53 @@ def main() -> None:
 
             # 2. The client.  connect() mirrors the pasta.profile builder:
             #    same chained configuration, .submit() instead of .run().
-            client = pasta.connect(daemon.url, namespace="quickstart")
-            handle = (
-                client.profile("alexnet")
-                .with_tool("kernel_frequency")
-                .iterations(2)
-                .submit()
-            )
-            print(f"submitted {handle.id}; streaming records:")
-            for record in handle.stream():
-                line = {k: record[k] for k in ("type", "v") if k in record}
-                line["event"] = record.get("event", record.get("state"))
-                print(f"  {line}")
+            with pasta.connect(daemon.url, namespace="quickstart") as client:
+                handle = (
+                    client.profile("alexnet")
+                    .with_tool("kernel_frequency")
+                    .iterations(2)
+                    .submit()
+                )
+                print(f"submitted {handle.id}; streaming records:")
+                for record in handle.stream():
+                    line = {k: record[k] for k in ("type", "v") if k in record}
+                    line["event"] = record.get("event", record.get("state"))
+                    print(f"  {line}")
 
-            remote = handle.result()
-            summary = remote.summary
-            print(f"\nremote run: cache_hit={remote.cache_hit} "
-                  f"digest={remote.digest[:12]}…")
-            print(f"  kernels observed: {summary['kernel_launches']}")
+                remote = handle.result()
+                summary = remote.summary
+                print(f"\nremote run: cache_hit={remote.cache_hit} "
+                      f"digest={remote.digest[:12]}…")
+                print(f"  kernels observed: {summary['kernel_launches']}")
 
-            # 3. The API-redesign contract: the remote result is
-            #    byte-identical to running the same spec locally.
-            local = (
-                pasta.profile("alexnet")
-                .with_tool("kernel_frequency")
-                .iterations(2)
-                .run()
-            )
-            identical = stable_json_dumps(
-                json_sanitize(local.reports())
-            ) == stable_json_dumps(json_sanitize(remote.reports()))
-            print(f"  remote reports == local reports: {identical}")
+                # 3. The API-redesign contract: the remote result is
+                #    byte-identical to running the same spec locally.
+                local = (
+                    pasta.profile("alexnet")
+                    .with_tool("kernel_frequency")
+                    .iterations(2)
+                    .run()
+                )
+                identical = stable_json_dumps(
+                    json_sanitize(local.reports())
+                ) == stable_json_dumps(json_sanitize(remote.reports()))
+                print(f"  remote reports == local reports: {identical}")
 
-            # 4. The cache contract: resubmitting the identical spec never
-            #    re-simulates — the daemon replays the stored record.
-            rerun = (
-                client.profile("alexnet")
-                .with_tool("kernel_frequency")
-                .iterations(2)
-                .submit()
-                .result()
-            )
-            print(f"  resubmit cache_hit: {rerun.cache_hit}")
+                # 4. The cache contract: resubmitting the identical spec never
+                #    re-simulates — the daemon replays the stored record.
+                rerun = (
+                    client.profile("alexnet")
+                    .with_tool("kernel_frequency")
+                    .iterations(2)
+                    .submit()
+                    .result()
+                )
+                print(f"  resubmit cache_hit: {rerun.cache_hit}")
 
-            health = client.health()
-            print(f"\nhealth: executed={health['executed']} "
-                  f"cache_hits={health['cache_hits']} "
-                  f"jobs={health['jobs']}")
+                health = client.health()
+                print(f"\nhealth: executed={health['executed']} "
+                      f"cache_hits={health['cache_hits']} "
+                      f"jobs={health['jobs']}")
 
 
 if __name__ == "__main__":

@@ -15,7 +15,10 @@ number of ranks:
 * :func:`execute_payload` / :func:`record_workload_trace` /
   :func:`replay_payload` — the module-level, picklable wrappers the campaign
   scheduler fans out over worker pools (their arguments and results are
-  JSON-native so they survive process boundaries).
+  JSON-native so they survive process boundaries).  :func:`replay_payload`
+  answers a whole replay-mode workload group with one pass over the
+  recorded events per rank and grid window; :func:`replay` is its
+  one-member case.
 
 Everything above this module — the ``pasta`` CLI, the fluent builder, the
 campaign scheduler, the ``pasta serve`` daemon — is sugar over these
@@ -28,7 +31,7 @@ import dataclasses
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Mapping, Optional, Sequence, Union
 
 from repro.api.spec import ParallelismSpec, ProfileSpec, normalize_parallelism
 from repro.core.annotations import RangeFilter
@@ -49,6 +52,8 @@ from repro.vendors import ProfilingBackend
 
 if TYPE_CHECKING:  # pragma: no cover - repro.replay imports this package
     from repro.replay.format import TraceHeader
+    from repro.replay.reader import TraceReader
+    from repro.replay.replayer import ReplayMember
     from repro.replay.writer import MemoryTrace
 
 #: Tool every parallel rank carries implicitly: its per-device timeline is
@@ -190,13 +195,14 @@ def _rank_tools(
     names: Sequence[str],
     parallelism: Optional[ParallelismSpec],
     extra_tools: Sequence[PastaTool] = (),
+    create: Callable[[str], PastaTool] = create_tool,
 ) -> list[PastaTool]:
-    """One rank's fresh tool set: the named tools, the implicit per-rank
-    memory timeline of a parallel profile (unless named), then the extra
-    instances."""
-    tools = [create_tool(name) for name in names]
+    """One rank's tool set: the named tools, the implicit per-rank memory
+    timeline of a parallel profile (unless named), then the extra instances.
+    ``create`` makes each named tool (a fresh instance by default)."""
+    tools = [create(name) for name in names]
     if parallelism is not None and PARALLEL_MEMORY_TOOL not in names:
-        tools.append(create_tool(PARALLEL_MEMORY_TOOL))
+        tools.append(create(PARALLEL_MEMORY_TOOL))
     tools.extend(extra_tools)
     return tools
 
@@ -681,6 +687,222 @@ def run(
     )
 
 
+# ---------------------------------------------------------------------- #
+# offline replay: one pass per rank and grid window for a whole group
+# ---------------------------------------------------------------------- #
+
+@dataclass
+class _ReplayRequest:
+    """One member of a replay group: a spec plus :func:`replay`'s overrides,
+    resolved (knobs included) before any pass runs."""
+
+    spec: Optional[ProfileSpec]
+    names: tuple[str, ...]
+    instances: list[PastaTool]
+    analysis_model: Union[str, AnalysisModel, None]
+    cost_config: Optional[CostModelConfig]
+    #: The spec's grid window; members with equal windows share a pass.
+    window: tuple[Optional[int], Optional[int]]
+    #: A caller's filter instance, which the member's pass uses as it is.
+    range_filter: Optional[RangeFilter]
+    measure_overhead: bool
+
+    @classmethod
+    def of(
+        cls,
+        spec: Optional[ProfileSpec],
+        tools: Optional[Sequence[Union[PastaTool, str]]] = None,
+        analysis_model: Union[str, AnalysisModel, None] = None,
+        cost_config: Optional[CostModelConfig] = None,
+        range_filter: Optional[RangeFilter] = None,
+        measure_overhead: bool = True,
+    ) -> "_ReplayRequest":
+        if spec is not None and spec.parallelism is not None and (
+            tools or analysis_model is not None or cost_config is not None
+            or range_filter is not None
+        ):
+            raise ReproError(
+                "parallel replays are configured entirely by the spec "
+                "(tools, analysis model, knobs); the per-field keyword "
+                "overrides do not apply"
+            )
+        names, instances = _split_tools(tools)
+        window: tuple[Optional[int], Optional[int]] = (None, None)
+        if spec is not None:
+            # Instance-only (or absent) tool lists keep the spec's tool set;
+            # passed names replace it.  Instances are always extras on top.
+            names = names or spec.tools
+            if analysis_model is None:
+                analysis_model = spec.analysis_model
+            spec_range, spec_cost = spec.resolve_overrides()
+            if cost_config is None:
+                cost_config = spec_cost
+            if isinstance(spec_range, RangeFilter):
+                window = (spec_range.start_grid_id, spec_range.end_grid_id)
+        return cls(spec, names, instances, analysis_model, cost_config, window,
+                   range_filter, measure_overhead)
+
+    @property
+    def parallelism(self) -> Optional[ParallelismSpec]:
+        return None if self.spec is None else self.spec.parallelism
+
+    def pass_key(self) -> tuple[object, ...]:
+        """Members with equal keys replay the same ranks under equal range
+        filters, so they share one pass per rank."""
+        layout = None if self.parallelism is None else (self.parallelism, self.spec.device)
+        return (layout, self.window if self.range_filter is None else id(self.range_filter))
+
+    def member(self, create: Callable[[str], PastaTool] = create_tool) -> "ReplayMember":
+        """This member of one rank's pass, its named tools made by ``create``."""
+        from repro.replay.replayer import ReplayMember
+
+        return ReplayMember(
+            tools=_rank_tools(self.names, self.parallelism, self.instances, create),
+            analysis_model=self.analysis_model,
+            cost_config=self.cost_config,
+            measure_overhead=self.measure_overhead,
+        )
+
+
+def _replay_ranks(
+    reader: Union["TraceReader", "MemoryTrace"], spec: Optional[ProfileSpec]
+) -> list[tuple[Optional[int], Optional[DeviceSpec], Optional[str]]]:
+    """``(device index, device spec, instrumentation)`` per rank to replay.
+
+    The one rank of a single-device replay keeps the header's device and
+    instrumentation and streams every event; a parallel spec gets one rank
+    per device index the trace recorded.
+    """
+    parallelism = None if spec is None else spec.parallelism
+    if parallelism is None:
+        return [(None, None, None)]
+    metadata = reader.header.workload
+    device_indices = metadata.get("device_indices")
+    if not isinstance(device_indices, list) or not device_indices:
+        raise TraceError(
+            f"trace {reader.path} does not carry per-rank device indices; it "
+            f"was not recorded from a multi-GPU parallel profile"
+        )
+    if len(device_indices) != parallelism.world_size:
+        raise TraceError(
+            f"trace {reader.path} records {len(device_indices)} ranks but the "
+            f"spec's parallelism expects {parallelism.world_size}"
+        )
+    instrumentation = metadata.get("rank_instrumentation")
+    if not isinstance(instrumentation, list):
+        instrumentation = [None] * len(device_indices)
+    return [
+        (int(index), REGISTRY.create("devices", name), kind)  # type: ignore[misc]
+        for index, name, kind in zip(
+            device_indices, parallelism.resolved_devices(spec.device), instrumentation  # type: ignore[union-attr]
+        )
+    ]
+
+
+def _shared_tools() -> Callable[[str], PastaTool]:
+    """A tool factory making one instance per registry name: one pass's tools."""
+    tools: dict[str, PastaTool] = {}
+
+    def create(name: str) -> PastaTool:
+        if name not in tools:
+            tools[name] = create_tool(name)
+        return tools[name]
+
+    return create
+
+
+def _replay_pass(
+    reader: Union["TraceReader", "MemoryTrace"], requests: Sequence[_ReplayRequest]
+) -> list[object]:
+    """Replay ``requests``, which share a pass key, with one
+    :meth:`TraceReplayer.run` per rank; return each request's result."""
+    from repro.replay.replayer import TraceReplayer
+    from repro.replay.writer import MemoryTrace
+
+    first = requests[0]
+    ranks = _replay_ranks(reader, first.spec)
+    events = None if first.parallelism is None else list(reader.events())  # read once, sliced per rank
+    per_rank = []
+    for device_index, device_spec, rank_instrumentation in ranks:
+        range_filter = first.range_filter
+        if range_filter is None and first.window != (None, None):
+            range_filter = RangeFilter(start_grid_id=first.window[0], end_grid_id=first.window[1])
+        create = _shared_tools()
+        per_rank.append(TraceReplayer(
+            reader if events is None else MemoryTrace(reader.header, [
+                e for e in events if e.device_index == device_index  # type: ignore[attr-defined]
+            ]),
+            [request.member(create) for request in requests],
+            range_filter=range_filter,
+            device_spec=device_spec,
+            instrumentation=rank_instrumentation,
+        ).run())
+    if first.parallelism is None:
+        return list(per_rank[0])
+    return [
+        ParallelReplayResult(
+            spec=request.spec,
+            trace_path=reader.path,
+            rank_results=[results[member] for results in per_rank],
+            device_indices=[int(index) for index, _, _ in ranks],  # type: ignore[arg-type]
+        )
+        for member, request in enumerate(requests)
+    ]
+
+
+def _replay_together(
+    reader: Union["TraceReader", "MemoryTrace"], requests: Sequence[_ReplayRequest]
+) -> list[object]:
+    """One pass for ``requests``; if it raises, one pass per request, so a
+    failing tool fails only the members that asked for it."""
+    try:
+        return _replay_pass(reader, requests)
+    except Exception as error:
+        if len(requests) == 1:
+            return [error]
+        return [outcome for request in requests for outcome in _replay_together(reader, [request])]
+
+
+def _replay_group(
+    trace: object, requests: Sequence[Union[_ReplayRequest, Exception]]
+) -> list[object]:
+    """Answer each request from one trace: its result, or the exception that
+    failed it (an exception in place of a request is passed through).
+
+    A request's own configuration error (an unknown tool or analysis model,
+    two tools under one name, fine-grained tools on a coarse trace, a spec
+    the trace's ranks do not fit) fails it alone, before any pass runs.
+    The rest replay together, one pass per rank and grid window.
+    """
+    from repro.replay.reader import TraceReader
+    from repro.replay.replayer import TraceReplayer
+    from repro.replay.writer import MemoryTrace
+
+    outcomes: list[object] = list(requests)
+    try:
+        reader = trace if isinstance(trace, (TraceReader, MemoryTrace)) else TraceReader(trace)  # type: ignore[arg-type]
+    except Exception as error:
+        return [r if isinstance(r, Exception) else error for r in requests]
+    passes: dict[tuple[object, ...], list[int]] = {}
+    for index, request in enumerate(requests):
+        if isinstance(request, Exception):
+            continue
+        try:
+            # Rank 0's member, checked against the trace and dropped.
+            _, device_spec, instrumentation = _replay_ranks(reader, request.spec)[0]
+            TraceReplayer(reader, [request.member()], device_spec=device_spec,
+                          instrumentation=instrumentation)
+        except Exception as error:
+            outcomes[index] = error
+        else:
+            passes.setdefault(request.pass_key(), []).append(index)
+    for indices in passes.values():
+        together = _replay_together(reader, [requests[i] for i in indices])
+        for index, outcome in zip(indices, together):
+            outcomes[index] = outcome
+    return outcomes
+
+
 def replay(
     trace: object,
     spec: Optional[ProfileSpec] = None,
@@ -701,88 +923,23 @@ def replay(
     arguments override the spec field for field; tool names and instances
     may be mixed as in :func:`run`.
 
-    Like :func:`execute`, one code path serves every world size.  Without
-    parallelism, one rank gets every event and the result is a
+    This is the one-member case of the group replay that answers a
+    replay-mode campaign group (:func:`replay_payload`), so one code path
+    serves both.  Like :func:`execute`, it serves every world size too.
+    Without parallelism, one rank gets every event and the result is a
     :class:`~repro.replay.replayer.ReplayResult`.  A spec with a parallelism
-    config gets one :class:`~repro.replay.replayer.TraceReplayer` per device
-    index the trace recorded, over that rank's slice of the events and with
-    that rank's device, and a :class:`ParallelReplayResult`; the per-field
-    keyword overrides do not apply there, but ``measure_overhead`` does.
+    config is replayed once per device index the trace recorded, over that
+    rank's slice of the events and with that rank's device, into a
+    :class:`ParallelReplayResult`; the per-field keyword overrides do not
+    apply there, but ``measure_overhead`` does.
     """
-    # Imported lazily: repro.replay builds on repro.core; keeping the api
-    # module importable without it avoids a hard import cycle.
-    from repro.replay.reader import TraceReader
-    from repro.replay.replayer import TraceReplayer
-    from repro.replay.writer import MemoryTrace
-
-    parallelism = None if spec is None else spec.parallelism
-    if parallelism is not None and (
-        tools or analysis_model is not None or cost_config is not None
-        or range_filter is not None
-    ):
-        raise ReproError(
-            "parallel replays are configured entirely by the spec "
-            "(tools, analysis model, knobs); the per-field keyword "
-            "overrides do not apply"
-        )
-    names, instances = _split_tools(tools)
-    if spec is not None:
-        # Instance-only (or absent) tool lists keep the spec's tool set;
-        # passed names replace it.  Instances are always extras on top.
-        names = names or spec.tools
-        if analysis_model is None:
-            analysis_model = spec.analysis_model
-    reader = trace if isinstance(trace, (TraceReader, MemoryTrace)) else TraceReader(trace)  # type: ignore[arg-type]
-    # (device index, device spec, instrumentation) per rank.  The one rank of
-    # a single-device replay keeps the header's device and instrumentation
-    # and streams every event.
-    ranks: list[tuple[Optional[int], Optional[DeviceSpec], Optional[str]]] = [(None, None, None)]
-    if parallelism is not None:
-        metadata = reader.header.workload
-        device_indices = metadata.get("device_indices")
-        if not isinstance(device_indices, list) or not device_indices:
-            raise TraceError(
-                f"trace {reader.path} does not carry per-rank device indices; it "
-                f"was not recorded from a multi-GPU parallel profile"
-            )
-        if len(device_indices) != parallelism.world_size:
-            raise TraceError(
-                f"trace {reader.path} records {len(device_indices)} ranks but the "
-                f"spec's parallelism expects {parallelism.world_size}"
-            )
-        instrumentation = metadata.get("rank_instrumentation")
-        if not isinstance(instrumentation, list):
-            instrumentation = [None] * len(device_indices)
-        ranks = [
-            (int(index), REGISTRY.create("devices", name), kind)  # type: ignore[misc]
-            for index, name, kind in zip(
-                device_indices, parallelism.resolved_devices(spec.device), instrumentation  # type: ignore[union-attr]
-            )
-        ]
-        events = list(reader.events())  # read once, sliced per rank
-    results = []
-    for device_index, device_spec, rank_instrumentation in ranks:
-        spec_range, spec_cost = (None, None) if spec is None else spec.resolve_overrides()
-        results.append(TraceReplayer(
-            reader if device_index is None else MemoryTrace(reader.header, [
-                e for e in events if e.device_index == device_index  # type: ignore[union-attr, attr-defined]
-            ]),
-            tools=_rank_tools(names, parallelism, instances),
-            analysis_model=analysis_model,
-            cost_config=cost_config if cost_config is not None else spec_cost,  # type: ignore[arg-type]
-            range_filter=range_filter if range_filter is not None else spec_range,  # type: ignore[arg-type]
-            measure_overhead=measure_overhead,
-            device_spec=device_spec,
-            instrumentation=rank_instrumentation,
-        ).run())
-    if parallelism is None:
-        return results[0]
-    return ParallelReplayResult(
-        spec=spec,
-        trace_path=reader.path,
-        rank_results=results,
-        device_indices=[int(index) for index, _, _ in ranks],  # type: ignore[arg-type]
+    request = _ReplayRequest.of(
+        spec, tools, analysis_model, cost_config, range_filter, measure_overhead
     )
+    [outcome] = _replay_group(trace, [request])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 # ---------------------------------------------------------------------- #
@@ -847,24 +1004,34 @@ def record_workload_trace(
 
 
 def replay_payload(
-    payload: Mapping[str, object],
+    payloads: Sequence[Mapping[str, object]],
     trace: object,
     summary: Mapping[str, object],
-) -> dict[str, object]:
-    """Answer one job by replaying a recorded workload trace.
+) -> list[Union[dict[str, object], Exception]]:
+    """Answer a workload group's jobs by replaying its recorded trace.
 
-    Produces a record with the same shape (and, for the shared fields, the
-    same values) as :func:`execute_payload`, but without re-simulating: the
-    spec's tools, analysis model and knobs are re-driven offline.  Pass a
-    :class:`~repro.replay.writer.MemoryTrace` as ``trace`` to replay
-    several jobs from one recording without decoding it.
+    Returns one record per payload, in order, with the same shape (and, for
+    the shared fields, the same values) as :func:`execute_payload`'s, but
+    without re-simulating: the specs' tools, analysis models and knobs are
+    re-driven offline, one pass per rank and grid window for the whole
+    group (see :func:`replay`).  A payload that cannot be answered gets its
+    exception in place of a record; the others are unaffected.  Pass a
+    :class:`~repro.replay.writer.MemoryTrace` as ``trace`` to replay from one
+    recording without decoding it.
     """
-    spec = ProfileSpec.from_dict(payload)
-    result = replay(trace, spec)
-    return json_sanitize({
-        "job": dict(payload),
-        "status": "ok",
-        "summary": dict(summary),
-        "reports": result.reports(),
-        "execution": "replay",
-    })
+    requests: list[Union[_ReplayRequest, Exception]] = []
+    for payload in payloads:
+        try:
+            requests.append(_ReplayRequest.of(ProfileSpec.from_dict(payload)))
+        except Exception as error:
+            requests.append(error)
+    return [
+        outcome if isinstance(outcome, Exception) else json_sanitize({
+            "job": dict(payload),
+            "status": "ok",
+            "summary": dict(summary),
+            "reports": outcome.reports(),
+            "execution": "replay",
+        })
+        for payload, outcome in zip(payloads, _replay_group(trace, requests))
+    ]

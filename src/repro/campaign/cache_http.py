@@ -41,7 +41,11 @@ from repro.transport import HttpTransport, ServeError
 
 @dataclass
 class HttpResultCache:
-    """Digest-keyed result cache speaking a ``pasta serve`` daemon's API."""
+    """Digest-keyed result cache speaking a ``pasta serve`` daemon's API.
+
+    Use it as a context manager, or call :meth:`close`, to release its
+    kept-alive connections.
+    """
 
     url: str
     timeout: float = 30.0
@@ -54,6 +58,16 @@ class HttpResultCache:
                 f"cache URL must start with http:// or https://, got {self.url!r}"
             )
         self._transport = HttpTransport(self.url)
+
+    def close(self) -> None:
+        """Close the cache's idle connections (see :meth:`HttpTransport.close`)."""
+        self._transport.close()
+
+    def __enter__(self) -> "HttpResultCache":
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        self.close()
 
     # ------------------------------------------------------------------ #
     # transport

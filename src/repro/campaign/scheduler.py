@@ -20,9 +20,13 @@ simulation.  ``"replay"`` instead groups the cache-missing jobs by their
 underlying simulation, ignoring tools, analysis model and knobs — records each
 distinct workload **once** into memory (a
 :class:`~repro.replay.writer.MemoryTrace`), and answers every job in the
-group by offline replay of those events.  A grid sweeping N
-tool/analysis-model combinations over one workload therefore simulates once
-instead of N times, while producing the same records.  Both modes run
+group by offline replay of those events — one analysis pass per rank and
+grid window for the whole group, feeding one instance of each distinct tool
+and charging one overhead accountant per distinct analysis model and cost
+config.  A grid sweeping N tool/analysis-model combinations over one
+workload therefore simulates once, and analyses once per grid window,
+instead of N times, while producing the same records; a member that fails
+(a bad tool or knob, a tool that raises) fails alone.  Both modes run
 *tasks* — one job, or one workload group — through the same executor, so
 the pool width, executor kind, timeout, retries and failure policy govern
 both alike.
@@ -279,12 +283,14 @@ def _run_task(
 
     A simulate-mode task is one job, run by ``runner``.  A replay-mode task
     is one workload group: its workload is simulated once into a
-    :class:`~repro.replay.writer.MemoryTrace` and every member is replayed
-    from those events.  With ``trace_path``, the recording is written there
-    while it runs; an attempt that fails leaves an incomplete trace, which
-    the next attempt overwrites.  Retries cover the job or the recording; a
-    group's members carry the recording's ``attempts``/``attempt_errors``,
-    and a member whose replay raises fails alone.  A failure never raises:
+    :class:`~repro.replay.writer.MemoryTrace`, and one
+    :func:`~repro.api.runner.replay_payload` call answers every member from
+    those events, with one analysis pass per rank and grid window.  With
+    ``trace_path``, the recording is written there while it runs; an
+    attempt that fails leaves an incomplete trace, which the next attempt
+    overwrites.  Retries cover the job or the recording; a group's members
+    carry the recording's ``attempts``/``attempt_errors``, and a member
+    whose replay raises fails alone.  A failure never raises:
     it is the member's ``"failed"`` record, which ``degrade`` replaces by
     the job's stripped fallback (:func:`_degraded`), run here so the task's
     timeout covers it.  Module-level, so process pools can pickle it.
@@ -302,12 +308,11 @@ def _run_task(
         else:
             summary = _run_with_retries(payloads[0], retries, record, backoff_s, backoff_cap_s)
             retry_keys = {key: summary.pop(key) for key in ("attempts", "attempt_errors") if key in summary}
-            records = []
-            for payload in payloads:
-                try:
-                    records.append({**replay_payload(payload, trace, summary), **retry_keys})
-                except Exception as error:
-                    records.append(_failed("replay failed: ", error))
+            records = [
+                _failed("replay failed: ", outcome) if isinstance(outcome, Exception)
+                else {**outcome, **retry_keys}
+                for outcome in replay_payload(payloads, trace, summary)
+            ]
         simulated = True
     except Exception as error:
         simulated = False

@@ -127,9 +127,10 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
                      help="re-attempts per failing job (default: 0)")
     run.add_argument("--execution", choices=["simulate", "replay"], default=None,
                      help="override the spec's execution mode: 'replay' records "
-                          "each distinct workload once into memory and replays "
-                          "it per tool/analysis-model combination, one pool "
-                          "task per workload group")
+                          "each distinct workload once into memory and answers "
+                          "its jobs with one analysis pass per group, rank and "
+                          "grid window (failures stay per job), one pool task "
+                          "per workload group")
     run.add_argument("--trace-dir", default=None,
                      help="also save each replay-mode workload recording in "
                           "this directory (default: no trace files)")
@@ -235,7 +236,7 @@ def _build_cache(args: argparse.Namespace):
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from contextlib import ExitStack
+    from contextlib import AbstractContextManager, ExitStack
 
     from repro.obs.telemetry import active as _active_telemetry
 
@@ -248,6 +249,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 print(f"  {job.label()}")
             return 0
         shard = _parse_workers(args.workers) if args.workers else None
+        cache = _build_cache(args)
         leases = None
         if shard is not None or args.lease_dir is not None:
             leases = LeaseManager(
@@ -261,7 +263,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             retries=args.retries,
             backoff_s=args.retry_backoff,
             backoff_cap_s=args.retry_backoff_cap,
-            cache=_build_cache(args),
+            cache=cache,
             store=ResultStore(args.store, fsync=args.fsync) if args.store else None,
             execution=args.execution,
             trace_dir=args.trace_dir,
@@ -273,6 +275,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             on_failure=args.on_failure,
         )
     with ExitStack() as stack:
+        if isinstance(cache, AbstractContextManager):
+            stack.enter_context(cache)  # an HTTP cache's connections close after the run
         if args.faults:
             stack.enter_context(
                 faults_scope(FaultInjector(FaultPlan.parse(args.faults)))

@@ -94,16 +94,16 @@ def cmd_submit(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     if not isinstance(payload, dict):
         raise ReproError(f"spec file {args.spec!r} must hold a JSON object")
 
-    client = _client(args)
-    handle = client.submit(payload, kind=args.kind)
-    if args.no_wait:
-        _emit(handle.status())
-        return 0
-    final_state: Optional[str] = None
-    for record in handle.stream():
-        _emit(record)
-        if record.get("type") == "job" and record.get("state") in TERMINAL_STATES:
-            final_state = str(record.get("state"))
+    with _client(args) as client:
+        handle = client.submit(payload, kind=args.kind)
+        if args.no_wait:
+            _emit(handle.status())
+            return 0
+        final_state: Optional[str] = None
+        for record in handle.stream():
+            _emit(record)
+            if record.get("type") == "job" and record.get("state") in TERMINAL_STATES:
+                final_state = str(record.get("state"))
     return 0 if final_state == "done" else 1
 
 
@@ -150,30 +150,35 @@ def cmd_jobs(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
-    for record in _client(args).jobs(all_namespaces=args.all):
-        _emit(record)
+    with _client(args) as client:
+        for record in client.jobs(all_namespaces=args.all):
+            _emit(record)
     return 0
 
 
 def _cmd_status(args: argparse.Namespace) -> int:
-    _emit(_client(args).status(args.job_id))
+    with _client(args) as client:
+        _emit(client.status(args.job_id))
     return 0
 
 
 def _cmd_stream(args: argparse.Namespace) -> int:
     final_state: Optional[str] = None
-    for record in _client(args).stream(args.job_id, args.from_index):
-        _emit(record)
-        if record.get("type") == "job" and record.get("state") in TERMINAL_STATES:
-            final_state = str(record.get("state"))
+    with _client(args) as client:
+        for record in client.stream(args.job_id, args.from_index):
+            _emit(record)
+            if record.get("type") == "job" and record.get("state") in TERMINAL_STATES:
+                final_state = str(record.get("state"))
     return 0 if final_state in (None, "done") else 1
 
 
 def _cmd_cancel(args: argparse.Namespace) -> int:
-    _emit(_client(args).cancel(args.job_id))
+    with _client(args) as client:
+        _emit(client.cancel(args.job_id))
     return 0
 
 
 def _cmd_health(args: argparse.Namespace) -> int:
-    _emit(_client(args).health())
+    with _client(args) as client:
+        _emit(client.health())
     return 0

@@ -21,16 +21,19 @@ normalised events from the event handler and
   (a third-party producer or trace) is turned into a length-1 batch at
   intake, so tools only ever receive fine-grained data as batches.
 
-An optional :class:`~repro.core.overhead.OverheadAccountant` charges every
-analysed kernel with the cost the configured backend/analysis-model pair would
-incur, which is how the Figure 9/10 experiments measure overhead; the
-analysis model changes only that charge, never what the tools receive.
+Overhead accountants (:class:`~repro.core.overhead.OverheadAccountant`)
+charge every analysed kernel with the cost the configured
+backend/analysis-model pair would incur, which is how the Figure 9/10
+experiments measure overhead; the analysis model changes only that charge,
+never what the tools receive.  A live session charges its one accountant;
+an offline replay pass charges one per analysis model and cost config its
+members asked for.
 """
 
 from __future__ import annotations
 
 from time import perf_counter_ns
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from repro.core.annotations import RangeFilter
 from repro.core.events import (
@@ -137,12 +140,13 @@ class PastaEventProcessor:
         self,
         address_resolver: Optional[AddressResolver] = None,
         range_filter: Optional[RangeFilter] = None,
-        overhead_accountant: Optional[OverheadAccountant] = None,
+        overhead_accountants: Sequence[OverheadAccountant] = (),
     ) -> None:
         self.dispatch_unit = DispatchUnit()
         self.address_resolver = address_resolver
         self.range_filter = range_filter or RangeFilter()
-        self.overhead_accountant = overhead_accountant
+        #: Charged, in order, for every analysed kernel launch.
+        self.overhead_accountants = tuple(overhead_accountants)
         self.events_processed = 0
         self.events_filtered = 0
         self.gpu_preprocessed_kernels = 0
@@ -211,8 +215,8 @@ class PastaEventProcessor:
             return
         for batch in held:
             self.dispatch_unit.dispatch(batch)
-        if self.overhead_accountant is not None:
-            self.overhead_accountant.record_kernel(event)
+        for accountant in self.overhead_accountants:
+            accountant.record_kernel(event)
         self.dispatch_unit.dispatch(event)
         if self.dispatch_unit.has_subscribers(EventCategory.KERNEL_MEMORY_PROFILE):
             self.dispatch_unit.dispatch(self.gpu_preprocess_kernel(event))

@@ -172,7 +172,9 @@ class PastaSession:
         self.processor = PastaEventProcessor(
             address_resolver=_allocator_resolver(runtime.allocator),
             range_filter=range_filter,
-            overhead_accountant=self.overhead_accountant,
+            overhead_accountants=(
+                () if self.overhead_accountant is None else (self.overhead_accountant,)
+            ),
         )
         self.handler.set_sink(self.processor.submit)
         self._tools: list[PastaTool] = []

@@ -22,7 +22,8 @@ record-once/analyze-many model of vendor profilers' offline workflows:
   category / kernel-range / region slicing and a lightweight seek index;
 * :mod:`repro.replay.replayer` — :class:`TraceReplayer`, which re-drives any
   tool set (optionally under a different analysis model or cost-model
-  configuration) through a fresh event processor with no runtime attached.
+  configuration) through a fresh event processor with no runtime attached,
+  answering several members (:class:`ReplayMember`) in one pass.
 
 The ``pasta trace`` command (``record`` / ``replay`` / ``info`` /
 ``slice``) lives in :mod:`repro.commands.trace`.
@@ -41,7 +42,13 @@ from repro.replay.format import (
     registered_codecs,
 )
 from repro.replay.reader import TraceReader
-from repro.replay.replayer import ReplayResult, TraceAddressResolver, TraceReplayer, replay_trace
+from repro.replay.replayer import (
+    ReplayMember,
+    ReplayResult,
+    TraceAddressResolver,
+    TraceReplayer,
+    replay_trace,
+)
 from repro.replay.writer import MemoryTrace, TraceWriter, index_path_for
 
 __all__ = [
@@ -49,6 +56,7 @@ __all__ = [
     "TRACE_SUFFIX",
     "EventCodec",
     "MemoryTrace",
+    "ReplayMember",
     "ReplayResult",
     "TraceAddressResolver",
     "TraceFooter",

@@ -66,7 +66,8 @@ class ServeClient:
     :meth:`submit` (a ready spec or dict), :meth:`job` (re-attach to an
     existing job id), plus :meth:`jobs` / :meth:`health` /
     :meth:`cache_get` / :meth:`cache_put` for introspection and the
-    HTTP-backed campaign cache.
+    HTTP-backed campaign cache.  Use it as a context manager, or call
+    :meth:`close`, to release its kept-alive connections.
     """
 
     def __init__(
@@ -91,6 +92,16 @@ class ServeClient:
 
     def __repr__(self) -> str:
         return f"ServeClient({self.url!r}, namespace={self.namespace!r})"
+
+    def close(self) -> None:
+        """Close the client's idle connections (see :meth:`HttpTransport.close`)."""
+        self._transport.close()
+
+    def __enter__(self) -> "ServeClient":
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        self.close()
 
     # -------------------------------------------------------------- #
     # transport

@@ -376,6 +376,9 @@ class PastaDaemon:
         self._server = _ServeServer((host, port), self)
         self.host, self.port = self._server.server_address[:2]
         self._thread: Optional[threading.Thread] = None
+        #: Set once start() or serve_forever() begins serving: only a serve
+        #: loop that ran can be shut down.
+        self._serving = False
         _active_telemetry().event(
             "serve.bound", url=self.url, workers=workers,
             resumed=self.manager.resumed,
@@ -388,6 +391,7 @@ class PastaDaemon:
     def start(self) -> "PastaDaemon":
         """Serve on a background thread and return immediately."""
         if self._thread is None:
+            self._serving = True
             self._thread = threading.Thread(
                 target=self._server.serve_forever,
                 name="pasta-serve-http",
@@ -398,6 +402,7 @@ class PastaDaemon:
 
     def serve_forever(self) -> None:
         """Serve on the calling thread until :meth:`close` (or Ctrl-C)."""
+        self._serving = True
         self._server.serve_forever()
 
     def close(self) -> None:
@@ -408,9 +413,11 @@ class PastaDaemon:
         client reaches a closed manager; the manager closes before the
         handler threads are joined, so a handler following a stream
         returns.  Queued jobs stay journaled and resume on the next daemon
-        start.
+        start.  A daemon that never served skips only the serve loop's
+        shutdown.
         """
-        self._server.shutdown()
+        if self._serving:
+            self._server.shutdown()
         if self._thread is not None:
             self._thread.join(timeout=5.0)
             self._thread = None

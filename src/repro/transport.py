@@ -9,7 +9,10 @@ consult ``http_proxy`` / ``https_proxy``.  It imports nothing from
 :mod:`repro.serve`, so the campaign layer stays below the service layer.
 
 A connection goes back into its thread's slot only once its response has
-been read to the end.  A response left unread (a stream closed early, an
+been read to the end.  :meth:`HttpTransport.close` closes every parked
+connection, whichever thread parked it, and a connection handed back after
+it is closed instead of parked; a slot whose thread has exited keeps its
+connection until then.  A response left unread (a stream closed early, an
 error, a timeout) closes its connection, so no request ever reads another
 one's leftover bytes.  A request that finds a reused connection closed
 before any status line (the daemon restarted, or shut its idle
@@ -59,7 +62,19 @@ class HttpTransport:
         )
         self._host, self._port, self._prefix = parts.hostname or "", parts.port, parts.path
         self._headers = dict(headers or {})
-        self._local = threading.local()
+        #: Each thread's idle connection, by thread id.
+        self._idle: dict[int, http.client.HTTPConnection] = {}
+        self._lock = threading.Lock()
+        self._closed = False
+
+    def close(self) -> None:
+        """Close every idle connection; later requests still work, but each
+        closes its connection when it is done."""
+        with self._lock:
+            self._closed = True
+            idle, self._idle = self._idle, {}
+        for conn in idle.values():
+            conn.close()
 
     @contextmanager
     def open(
@@ -102,17 +117,18 @@ class HttpTransport:
     # ------------------------------------------------------------------ #
     def _connection(self) -> http.client.HTTPConnection:
         """The thread's idle connection (emptying its slot), or a new one."""
-        conn = getattr(self._local, "idle", None)
-        self._local.idle = None
+        with self._lock:
+            conn = self._idle.pop(threading.get_ident(), None)
         return conn if conn is not None else self._connection_class(self._host, self._port)
 
     def _keep(self, conn: http.client.HTTPConnection) -> None:
-        """Park ``conn`` in the thread's slot; a full slot closes it instead
-        (an interleaved request on the same thread returned first)."""
-        if getattr(self._local, "idle", None) is None:
-            self._local.idle = conn
-        else:
-            conn.close()
+        """Park ``conn`` in the thread's slot; a full slot (an interleaved
+        request on the same thread returned first) or a closed transport
+        closes it instead."""
+        with self._lock:
+            if not self._closed and self._idle.setdefault(threading.get_ident(), conn) is conn:
+                return
+        conn.close()
 
     def _exchange(
         self, method: str, path: str, body: Optional[bytes], timeout: float

@@ -55,12 +55,9 @@ def harness(request, tmp_path: Path):
         store = ResultCache(tmp_path / "cache")
         yield BackendHarness(cache=store, file_store=store)
     else:
-        with PastaDaemon(tmp_path / "serve", workers=1) as daemon:
-            daemon.start()
-            yield BackendHarness(
-                cache=HttpResultCache(daemon.url),
-                file_store=daemon.manager.cache,
-            )
+        with PastaDaemon(tmp_path / "serve", workers=1) as daemon, \
+                HttpResultCache(daemon.url) as cache:
+            yield BackendHarness(cache=cache, file_store=daemon.manager.cache)
 
 
 class TestCacheBackendConformance:
@@ -110,16 +107,15 @@ class TestHttpBackendSpecifics:
             HttpResultCache("ftp://example.com")
 
     def test_unreachable_daemon_is_loud(self) -> None:
-        cache = HttpResultCache("http://127.0.0.1:9", timeout=0.5)
-        with pytest.raises(ReproError, match="cannot reach"):
-            cache.get(DIGEST)
-        with pytest.raises(ReproError, match="cannot reach"):
-            cache.put(DIGEST, {"x": 1})
+        with HttpResultCache("http://127.0.0.1:9", timeout=0.5) as cache:
+            with pytest.raises(ReproError, match="cannot reach"):
+                cache.get(DIGEST)
+            with pytest.raises(ReproError, match="cannot reach"):
+                cache.put(DIGEST, {"x": 1})
 
     def test_bad_digest_rejected_by_daemon(self, tmp_path: Path) -> None:
-        with PastaDaemon(tmp_path / "serve", workers=1) as daemon:
-            daemon.start()
-            cache = HttpResultCache(daemon.url)
+        with PastaDaemon(tmp_path / "serve", workers=1) as daemon, \
+                HttpResultCache(daemon.url) as cache:
             with pytest.raises(ReproError, match="HTTP 400"):
                 cache.put("NOT-HEX", {"x": 1})
 

@@ -9,6 +9,7 @@ campaign or profile the file records.
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import sys
 import threading
@@ -262,8 +263,7 @@ def test_an_unlimited_fault_at_telemetry_write_terminates(tmp_path):
 # ---------------------------------------------------------------------- #
 def test_a_failed_journal_append_at_submit_leaves_no_job(tmp_path):
     data = tmp_path / "serve"
-    with PastaDaemon(data, workers=1, quota_inflight=1) as daemon:
-        client = connect(daemon.url)
+    with PastaDaemon(data, workers=1, quota_inflight=1) as daemon, connect(daemon.url) as client:
         with faults_scope(_torn_once("store.append")):
             with pytest.raises(ServeError) as failure:
                 client.submit(SPEC)
@@ -282,3 +282,45 @@ def test_a_failed_journal_append_at_submit_leaves_no_job(tmp_path):
         assert reborn.resumed == 0
     finally:
         reborn.close()
+
+
+def test_a_torn_finished_record_resumes_its_job_after_a_restart(tmp_path):
+    data = tmp_path / "serve"
+    manager = JobManager(data, workers=1)
+    try:
+        warm = manager.submit(SPEC)
+        _wait_for(lambda: warm.terminal)
+        assert warm.state == "done"
+        # The submitted record goes through; the finished record tears.
+        with faults_scope(_torn_once("store.append", after=1)):
+            job = manager.submit(SPEC)
+            _wait_for(lambda: job.terminal)
+        assert job.state == "done" and job.cache_hit  # the outcome stands in memory
+    finally:
+        manager.close()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        reborn = JobManager(data, workers=1)
+    try:
+        assert len(caught) == 1 and "torn/corrupt" in str(caught[0].message)
+        assert reborn.resumed == 1
+        again = reborn.get(job.id)
+        _wait_for(lambda: again.terminal)
+        assert again.state == "done" and again.cache_hit
+        assert again.digest == job.digest
+        assert reborn.get(warm.id).state == "done"
+    finally:
+        reborn.close()
+    # The re-run's finished record is the whole line after the torn one.
+    lines = (data / "jobs.jsonl").read_bytes().splitlines()
+    [torn] = [number for number, line in enumerate(lines) if not _parses(line)]
+    after = json.loads(lines[torn + 1])
+    assert (after["event"], after["job_id"], after["status"]) == ("finished", job.id, "done")
+
+
+def _parses(line: bytes) -> bool:
+    try:
+        json.loads(line)
+    except ValueError:
+        return False
+    return True

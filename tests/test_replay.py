@@ -1087,7 +1087,7 @@ class TestJobTraceHelpers:
                    "tools": ["kernel_frequency"], "analysis_model": "gpu_resident"}
         summary = record_workload_trace(payload, trace)
         assert summary["model"] == "alexnet" and summary["kernel_launches"] > 0
-        record = replay_payload(payload, trace, summary)
+        [record] = replay_payload([payload], trace, summary)
         assert record["status"] == "ok"
         assert record["execution"] == "replay"
         assert record["summary"] == summary
